@@ -117,6 +117,98 @@ class TestClopperPearson:
         )
 
 
+def _oracle_grid():
+    """(k, n, confidence) over the sample sizes the workloads use."""
+    for n in (1, 8, 100, 150, 1000):
+        for k in sorted({0, 1, n // 8, n // 2, n - 6, n - 1, n}):
+            if 0 <= k <= n:
+                for confidence in (0.99, 0.999):
+                    yield k, n, confidence
+
+
+class TestClopperPearsonOracle:
+    """The bisection against scipy's Beta quantiles, which share no code with it."""
+
+    @pytest.mark.parametrize("k,n,confidence", list(_oracle_grid()))
+    def test_lower_matches_scipy_beta_grid(self, k, n, confidence):
+        expected = (
+            0.0 if k == 0
+            else scipy_stats.beta.ppf(1 - confidence, k, n - k + 1)
+        )
+        actual = clopper_pearson_lower(BernoulliSummary(k, n), confidence)
+        assert math.isclose(actual, expected, abs_tol=1e-6)
+
+    @pytest.mark.parametrize("k,n,confidence", list(_oracle_grid()))
+    def test_upper_matches_scipy_beta_grid(self, k, n, confidence):
+        expected = (
+            1.0 if k == n
+            else scipy_stats.beta.ppf(confidence, k + 1, n - k)
+        )
+        actual = clopper_pearson_upper(BernoulliSummary(k, n), confidence)
+        assert math.isclose(actual, expected, abs_tol=1e-6)
+
+
+# float.hex of (lower, upper) from the plain 200-step bisection that
+# predates memoisation, cached log-binomial rows and the fixed-point stop.
+# Verdicts, early-stop decisions and goldens all rest on these exact floats,
+# so a drift of even one ulp must fail here first.
+_PINNED_BOUNDS = [
+    (994, 1000, 0.99, "0x1.f8925f3437261p-1", "0x1.ff159f41a0cffp-1"),
+    (994, 1000, 0.999, "0x1.f6cedd8100a1cp-1", "0x1.ff6e9b397606bp-1"),
+    (125, 1000, 0.99, "0x1.a091d2a0fe004p-4", "0x1.35ec96fa66e2ep-3"),
+    (125, 1000, 0.999, "0x1.8431ee289b934p-4", "0x1.4860aa950384bp-3"),
+    (1, 1000, 0.99, "0x1.513b4b3517fffp-17", "0x1.b1d39b45097c0p-8"),
+    (1, 1000, 0.999, "0x1.0c91d33340000p-20", "0x1.2d516ccea5d21p-7"),
+    (96, 100, 0.99, "0x1.c6cead6529b3ep-1", "0x1.fbbd00c21eab6p-1"),
+    (96, 100, 0.999, "0x1.b83c3e6404a87p-1", "0x1.fdc6eecdb8a08p-1"),
+    (30, 100, 0.99, "0x1.9626ae3d9b91ap-3", "0x1.ac20d2cf1d9cfp-2"),
+    (30, 100, 0.999, "0x1.5d688452e051ap-3", "0x1.d383748e487b2p-2"),
+    (144, 150, 0.99, "0x1.cfac34dd59fbbp-1", "0x1.f9d6fbf5e96d8p-1"),
+    (144, 150, 0.999, "0x1.c4c92db80dc9fp-1", "0x1.fc2bcebe4fcecp-1"),
+    (8, 8, 0.99, "0x1.1feb33c1c37bap-1", "0x1.0000000000000p+0"),
+    (8, 8, 0.999, "0x1.afd1354c407e5p-2", "0x1.0000000000000p+0"),
+    (7, 8, 0.99, "0x1.a3e63e639bf25p-2", "0x1.ff5b704dd3c19p-1"),
+    (7, 8, 0.999, "0x1.27a72a19e15edp-2", "0x1.ffef9bdc1ec18p-1"),
+    (1, 8, 0.99, "0x1.491f64587cd00p-10", "0x1.2e0ce0ce32017p-1"),
+    (1, 8, 0.999, "0x1.06423e13e8800p-13", "0x1.6c2c6af30f2a4p-1"),
+    (1, 1, 0.99, "0x1.47ae147ae145fp-7", "0x1.0000000000000p+0"),
+    (1, 1, 0.999, "0x1.0624dd2f1a900p-10", "0x1.0000000000000p+0"),
+]
+
+
+class TestClopperPearsonPinned:
+    @pytest.mark.parametrize("k,n,confidence,lower,upper", _PINNED_BOUNDS)
+    def test_bounds_are_bit_identical(self, k, n, confidence, lower, upper):
+        summary = BernoulliSummary(k, n)
+        # Twice: the memoised second call must return the same float.
+        for _ in range(2):
+            assert clopper_pearson_lower(summary, confidence).hex() == lower
+            assert clopper_pearson_upper(summary, confidence).hex() == upper
+
+
+class TestConfidenceAlwaysChecked:
+    """Memoisation and the boundary short-cuts never skip the input check."""
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    @pytest.mark.parametrize("successes", [0, 3, 8])
+    def test_every_call_rejects_bad_confidence(self, successes, confidence):
+        # 0 and 8 of 8 take the successes == 0 / == trials short-cuts.
+        summary = BernoulliSummary(successes, 8)
+        # Warm the caches for this summary before the bad calls.
+        clopper_pearson_lower(summary, 0.99)
+        clopper_pearson_upper(summary, 0.99)
+        calls = (
+            lambda: clopper_pearson_lower(summary, confidence),
+            lambda: clopper_pearson_upper(summary, confidence),
+            lambda: supports_lower_bound(summary, 0.5, confidence),
+            lambda: refutes_lower_bound(summary, 0.5, confidence),
+        )
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(VerificationError):
+                    call()
+
+
 class TestDecisions:
     def test_refutes_clearly_false_claim(self):
         # 5/1000 successes refutes "probability >= 1/2".
