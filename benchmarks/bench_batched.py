@@ -1,72 +1,27 @@
-"""Speedup and byte-identity of the batched flat-array engine.
+"""Byte identity of the batched flat-array engine.
 
-Two claims about ``--engine batched`` (``docs/statespace.md``):
-
-* **Equivalence** — the composed ``T --13--> C`` check produces a
-  byte-identical report under the compiled and batched engines (both
-  numpy and forced-pure block fillers).
-* **Speedup** — on the n=3 ring, the batched walker's raw sampling
-  loop (CSR arrays, chain compression, scaled-integer time, block
-  uniforms) completes at least 5x faster than the stepwise compiled
-  walker it mirrors, on top of the compiled engine's own speedup over
-  the tree walk measured in ``bench_statespace.py``.  The numpy block
-  filler is required for the asserted ratio; the bench skips cleanly
-  when numpy is absent, when the compile blows its state budget, or
-  when the compiled baseline finishes too fast to time reliably
-  (this container has 1 CPU).
+One claim about ``--engine batched`` (``docs/statespace.md``): the
+composed ``T --13--> C`` check produces a byte-identical report under
+the tree and batched engines, for the full adversary family including
+the uncompilable hashed-random members (which fall back to the tree
+walk per adversary).  The batched engine's speed over the tree walk is
+asserted end to end in ``bench_statespace.py``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
+from repro.analysis.montecarlo import check_lr_statement
 from repro.errors import StateBudgetExceeded
-from repro.parallel.seeds import rng_from_seed
-from repro.statespace import BatchedEngine, build_engine
-from repro.statespace import np_backend
 
 SAMPLES = 60
-#: Raw sampling-loop iterations for the timed ratio.
-LOOP_SAMPLES = 40_000
 
 
-def build_pair_engines():
-    """(compiled, batched) engines for the composed statement, n=3.
-
-    Markov-only family: the coin-peeking hashed-random adversaries
-    would sample through the tree walk on both sides and dilute the
-    measured ratio with identical work.
-    """
-    setup = LRExperimentSetup.build(3, random_seeds=())
-    statement = lr.lehmann_rabin_proof().final_statement
-    starts = tuple(
-        state
-        for state in lr.canonical_states(3).values()
-        if statement.source.contains(state)
-    )
-
-    def build(engine):
-        return build_engine(
-            setup.automaton,
-            setup.adversaries,
-            starts,
-            statement.target.contains,
-            lr.lr_time_of,
-            statement.time_bound,
-            400,
-            engine=engine,
-            spec=setup.space_spec(),
-        )
-
-    return build("compiled"), build("batched")
-
-
-def test_batched_report_matches_compiled(setup3):
+def test_batched_report_matches_tree(setup3):
     statement = lr.lehmann_rabin_proof().final_statement
 
     def run(engine):
@@ -75,56 +30,11 @@ def test_batched_report_matches_compiled(setup3):
             random_starts=4, engine=engine,
         )
 
+    tree = run("tree")
     try:
-        compiled = run("compiled")
         batched = run("batched")
     except StateBudgetExceeded as error:
         pytest.skip(f"compile budget exceeded: {error}")
-    assert json.dumps(compiled.to_dict(), sort_keys=True) == json.dumps(
+    assert json.dumps(tree.to_dict(), sort_keys=True) == json.dumps(
         batched.to_dict(), sort_keys=True
-    )
-
-
-def test_batched_sampling_at_least_5x_faster():
-    if not np_backend.available():
-        pytest.skip("numpy not installed — the 5x claim is for the "
-                    "numpy block filler")
-    try:
-        compiled, batched = build_pair_engines()
-    except StateBudgetExceeded as error:
-        pytest.skip(f"compile budget exceeded: {error}")
-    assert isinstance(batched, BatchedEngine)
-
-    def drive(engine, seed):
-        rng = rng_from_seed(seed)
-        started = time.perf_counter()
-        stream = [
-            (result.verdict, result.steps)
-            for result in (
-                engine.sample(0, 0, rng) for _ in range(LOOP_SAMPLES)
-            )
-        ]
-        return time.perf_counter() - started, stream
-
-    drive(compiled, 0)  # warm both walkers before timing
-    drive(batched, 0)
-    compiled_seconds, compiled_stream = drive(compiled, 1)
-    if compiled_seconds < 0.5:
-        pytest.skip(
-            f"compiled baseline finished in {compiled_seconds:.3f}s — "
-            "too fast to time a 5x ratio reliably on this hardware"
-        )
-    batched_seconds, batched_stream = drive(batched, 1)
-
-    assert compiled_stream == batched_stream, (
-        "batched sampling diverged from the compiled walker"
-    )
-    speedup = compiled_seconds / batched_seconds
-    print(
-        f"\ncompiled: {compiled_seconds:.2f}s, batched: "
-        f"{batched_seconds:.2f}s ({speedup:.2f}x over "
-        f"{LOOP_SAMPLES} samples)"
-    )
-    assert speedup >= 5.0, (
-        f"batched speedup {speedup:.2f}x below the required 5x"
     )

@@ -1,12 +1,12 @@
 """Speedup and byte-identity of the compile-once state-space engine.
 
-Two claims about ``--engine compiled`` (``docs/statespace.md``):
+Two claims about ``--engine batched`` (``docs/statespace.md``):
 
 * **Equivalence** — the composed ``T --13--> C`` check produces a
-  byte-identical report under the tree and compiled engines, for the
-  full adversary family including the uncompilable hashed-random
+  byte-identical report under the tree, batched, and auto engines, for
+  the full adversary family including the uncompilable hashed-random
   members (which fall back to the tree walk per adversary).
-* **Speedup** — on the n=3 ring, the compiled engine completes the
+* **Speedup** — on the n=3 ring, the batched engine completes the
   arrow check at least 2x faster than the tree walk once the sampling
   load amortises the one-off compile.  The timed workload restricts
   the family to its compilable (Markov round-policy) members so the
@@ -39,19 +39,19 @@ def run_check(setup, engine, samples):
     )
 
 
-def test_compiled_report_matches_tree(setup3):
+def test_batched_report_matches_tree(setup3):
     tree = run_check(setup3, "tree", SAMPLES)
     try:
-        compiled = run_check(setup3, "compiled", SAMPLES)
+        batched = run_check(setup3, "batched", SAMPLES)
     except StateBudgetExceeded as error:
         pytest.skip(f"compile budget exceeded: {error}")
     auto = run_check(setup3, "auto", SAMPLES)
     tree_json = json.dumps(tree.to_dict(), sort_keys=True)
-    assert tree_json == json.dumps(compiled.to_dict(), sort_keys=True)
+    assert tree_json == json.dumps(batched.to_dict(), sort_keys=True)
     assert tree_json == json.dumps(auto.to_dict(), sort_keys=True)
 
 
-def test_compiled_at_least_2x_faster():
+def test_batched_at_least_2x_faster():
     # Only Markov round policies: the coin-peeking hashed-random
     # adversaries always sample through the tree walk and would dilute
     # the measured ratio with identical work on both sides.
@@ -69,20 +69,20 @@ def test_compiled_at_least_2x_faster():
 
     started = time.perf_counter()
     try:
-        compiled_report = run_check(setup, "compiled", SPEEDUP_SAMPLES)
+        batched_report = run_check(setup, "batched", SPEEDUP_SAMPLES)
     except StateBudgetExceeded as error:
         pytest.skip(f"compile budget exceeded: {error}")
-    compiled_seconds = time.perf_counter() - started
+    batched_seconds = time.perf_counter() - started
 
     assert json.dumps(tree_report.to_dict(), sort_keys=True) == json.dumps(
-        compiled_report.to_dict(), sort_keys=True
+        batched_report.to_dict(), sort_keys=True
     )
-    speedup = tree_seconds / compiled_seconds
+    speedup = tree_seconds / batched_seconds
     print(
-        f"\ntree: {tree_seconds:.2f}s, compiled: {compiled_seconds:.2f}s "
+        f"\ntree: {tree_seconds:.2f}s, batched: {batched_seconds:.2f}s "
         f"({speedup:.2f}x, compile amortised over "
         f"{SPEEDUP_SAMPLES} samples/pair)"
     )
     assert speedup >= 2.0, (
-        f"compiled speedup {speedup:.2f}x below the required 2x"
+        f"batched speedup {speedup:.2f}x below the required 2x"
     )

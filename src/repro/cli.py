@@ -57,9 +57,9 @@ model-contract enforcement mode (Definitions 2.1/2.2/3.3) and
 per-execution budgets; on healthy models ``warn`` output is
 byte-identical to ``off`` for every worker count, and strict-mode
 violations exit with the dedicated status 4 (see ``docs/contracts.md``).
-``--engine {tree,compiled,batched,auto}`` selects the evaluation
-strategy — the historical tree walk, the compile-once interned state
-space, or its flattened array form sampling uniforms in blocks — and
+``--engine {tree,batched,auto}`` selects the evaluation strategy —
+the historical tree walk, or the compile-once interned state space
+sampled as flat arrays — and
 ``--state-budget`` caps the compile; reports are byte-identical
 whichever engine ran (see ``docs/statespace.md``).  The sampling
 subcommands, ``audit``, and ``fuzz`` accept ``--model NAME`` to select
@@ -97,7 +97,7 @@ exit status:
   0  success: every checked claim held
   1  a checked claim was refuted (or a measured bound failed)
   2  usage error (unknown flags or propositions, contradictory flags,
-     or --engine compiled/batched blew its --state-budget)
+     or --engine batched blew its --state-budget)
   3  infrastructure failure: a pooled run exhausted its
      fault-tolerance budget, a checkpoint file was unusable, or the
      job service failed (lease lost, job store corrupt, workers
@@ -781,6 +781,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.statespace import ENGINE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -861,25 +863,22 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--engine",
-            choices=("tree", "compiled", "batched", "batched-pure", "auto"),
+            choices=ENGINE_NAMES,
             default="tree",
             help="evaluation strategy: 'tree' walks the live object "
-                 "graph, 'compiled' interns the reachable state space "
-                 "once and samples index tables (errors when the "
-                 "--state-budget is exceeded), 'batched' additionally "
-                 "flattens the tables into arrays and draws uniforms in "
-                 "blocks (numpy-accelerated when available), "
-                 "'batched-pure' is 'batched' with the numpy filler "
-                 "forced off, 'auto' prefers the batched walk when the "
-                 "space fits and falls back to the tree walk otherwise; "
-                 "reports are byte-identical whichever engine ran "
-                 "(default: %(default)s; see docs/statespace.md)",
+                 "graph, 'batched' interns the reachable state space "
+                 "once and samples it as flat arrays (errors when the "
+                 "--state-budget is exceeded), 'auto' prefers the "
+                 "batched walk when the space fits and falls back to "
+                 "the tree walk otherwise; reports are byte-identical "
+                 "whichever engine ran (default: %(default)s; see "
+                 "docs/statespace.md)",
         )
         p.add_argument(
             "--state-budget", type=int, default=None, metavar="N",
             dest="state_budget",
             help="cap on interned states (and per-adversary product "
-                 "nodes) for --engine compiled/batched/auto "
+                 "nodes) for --engine batched/auto "
                  "(default: 200000)",
         )
 

@@ -43,11 +43,11 @@ from repro.corpus.cases import CheckCase, FlagsCase, ServiceCase
 from repro.errors import VerificationError
 from repro.parallel.faults import FaultPlan
 from repro.parallel.pool import RunPolicy
+from repro.statespace import ENGINE_NAMES
 
-#: Every engine the corpus replays.  ``batched-pure`` is the
-#: first-class name for the BatchedEngine with the numpy transplant
-#: disabled — the path machines without numpy take implicitly.
-ENGINES = ("tree", "compiled", "batched", "batched-pure")
+#: Every engine the corpus replays, tree (the reference) first.
+#: ``auto`` is left out: it always resolves to one of the others.
+ENGINES = tuple(name for name in ENGINE_NAMES if name != "auto")
 
 #: Guard modes every entry is replayed under.
 MODES = ("off", "warn", "strict")
@@ -306,8 +306,8 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         name="fuel-exhausted-never-target",
         description=(
             "An unreachable target with a one-step fuel budget: every "
-            "execution exhausts its fuel.  Tree-only — the compiled "
-            "engines refuse fuel by contract, and warn-mode fuel "
+            "execution exhausts its fuel.  Tree-only — the batched "
+            "engine refuses fuel by contract, and warn-mode fuel "
             "truncates executions so warn is not byte-identical to off."
         ),
         expected_class="FuelExhaustedError",
@@ -345,8 +345,8 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="state-budget-blown",
         description=(
-            "A two-node budget for a three-state space: compiling "
-            "engines must raise StateBudgetExceeded in every guard "
+            "A two-node budget for a three-state space: the batched "
+            "engine must raise StateBudgetExceeded in every guard "
             "mode while tree (which never compiles) stays clean."
         ),
         expected_class="StateBudgetExceeded",
@@ -358,7 +358,7 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         },
         exit_status=2,
         build=_budget_case,
-        engines=("compiled", "batched", "batched-pure"),
+        engines=("batched",),
         baseline_ok=True,
     ),
     CorpusEntry(

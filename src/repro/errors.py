@@ -112,7 +112,7 @@ class StateSpaceError(VerificationError):
 class StateBudgetExceeded(StateSpaceError):
     """Raised when compile-time exploration exceeds its state budget.
 
-    ``--engine compiled`` surfaces this to the caller; ``--engine auto``
+    ``--engine batched`` surfaces this to the caller; ``--engine auto``
     catches it and falls back to the tree-walk engine instead.
     """
 

@@ -7,8 +7,8 @@ Each sample threads an explicit :class:`random.Random`, so experiments
 are reproducible from their seeds.
 
 This module is the *tree engine* of the sampling layer: it walks the
-live object graph one fragment at a time.  The compiled engine in
-:mod:`repro.statespace.engine` mirrors these loops over interned index
+live object graph one fragment at a time.  The batched engine in
+:mod:`repro.statespace.engine` mirrors these loops over flat interned
 tables — draw for draw, metric for metric — so both produce
 byte-identical reports; any change to the control flow here must be
 reflected there (the cross-engine suite in ``tests/test_statespace.py``

@@ -42,6 +42,12 @@ KILL_EXIT = 77
 #: Default lease duration, seconds.
 DEFAULT_LEASE = 30.0
 
+#: The CLI's usage-error status.  A usage error is not a report: it
+#: turns on the argv and the CLI version, including knobs the scope
+#: excludes (``--engine``, ``--state-budget``), so it is recorded on
+#: the job but never cached for the rest of the scope.
+USAGE_EXIT = 2
+
 
 def run_job_argv(argv: Tuple[str, ...]) -> Tuple[int, str]:
     """Execute one job spec in-process; ``(exit_status, stdout)``.
@@ -217,13 +223,14 @@ def _finish_one(
             store.fail(claimed.job_id, worker_id, failure)
             summary["failed"] += 1
         else:
-            cache.put(claimed.scope, {
-                "argv": list(claimed.argv),
-                "command": claimed.argv[0] if claimed.argv else "",
-                "scope": claimed.scope,
-                "exit_status": code,
-                "stdout": stdout,
-            })
+            if code != USAGE_EXIT:
+                cache.put(claimed.scope, {
+                    "argv": list(claimed.argv),
+                    "command": claimed.argv[0] if claimed.argv else "",
+                    "scope": claimed.scope,
+                    "exit_status": code,
+                    "stdout": stdout,
+                })
             store.complete(claimed.job_id, worker_id, code, cached=False)
             summary["executed"] += 1
     except LeaseExpiredError:

@@ -1,12 +1,12 @@
 """Compile-once state spaces and the engine protocol built on them.
 
 See ``docs/statespace.md`` for the compile pipeline, the
-``--engine {tree,compiled,batched,auto}`` selection rules, the flat
-array layout behind the batched engine, and the fallback behaviour
-that keeps reports byte-identical across engines.
+``--engine {tree,batched,auto}`` selection rules, the flat array
+layout behind the batched engine, and the fallback behaviour that
+keeps reports byte-identical across engines.
 """
 
-from repro.statespace.arrays import FlatTable, UniformSource, flatten_table
+from repro.statespace.arrays import FlatTable, flatten_table
 from repro.statespace.compile import (
     DEFAULT_STATE_BUDGET,
     IDENTITY_SPEC,
@@ -18,7 +18,6 @@ from repro.statespace.compile import (
 from repro.statespace.engine import (
     ENGINE_NAMES,
     BatchedEngine,
-    CompiledEngine,
     Engine,
     TreeEngine,
     build_engine,
@@ -33,12 +32,10 @@ __all__ = [
     "CompiledStep",
     "FlatTable",
     "SpaceSpec",
-    "UniformSource",
     "compile_space",
     "flatten_table",
     "ENGINE_NAMES",
     "BatchedEngine",
-    "CompiledEngine",
     "Engine",
     "TreeEngine",
     "build_engine",

@@ -1,4 +1,4 @@
-"""CSR-flattened adversary tables and block-buffered uniform streams.
+"""CSR-flattened adversary tables with memoised deterministic runs.
 
 :class:`~repro.statespace.product.AdversaryTable` stores one tuple of
 outcomes per product node; walking it costs a tuple indexing chain and
@@ -8,39 +8,26 @@ table into :class:`FlatTable` — contiguous parallel lists in CSR form
 ``deltas`` arrays) with the target flag and halt bit hoisted per node —
 so the batched engine's inner loop touches only flat list indexing.
 
-Two further accelerations live here, both *exactly* draw-preserving:
-
-* **Chain compression** — a node with a single outcome consumes one
-  uniform and moves on deterministically.  Runs of such nodes (between
-  coin flips, the vast majority of Lehmann-Rabin steps) are memoised as
-  ``(skip_steps, skip_to, skip_total)`` so the walk advances a whole
-  run in O(1) while consuming exactly ``skip_steps`` uniforms, exactly
-  the floats the stepwise walk would have read and discarded against
-  cumulative weight 1.0.  Only runs whose every time advance is
-  nonnegative are compressed: prefix sums of the run's elapsed time are
-  then bounded by ``skip_total``, so a single comparison proves no
-  intermediate state crossed the time bound.
-* **Block-buffered uniforms** — :class:`UniformSource` fills a block of
-  uniforms at a time, via :func:`repro.statespace.np_backend.make_bulk`
-  when numpy can transplant the generator state (bit-identical floats)
-  or ``rng.random()`` otherwise.  Sources own their ``random.Random``
-  exclusively; over-filling past what a walk consumes is invisible
-  because each pair's stream is private and discarded afterwards.
+**Chain compression** is the one further acceleration, and it is
+exactly draw-preserving: a node with a single outcome consumes one
+uniform and moves on deterministically.  Runs of such nodes (between
+coin flips, the vast majority of Lehmann-Rabin steps) are memoised as
+``(skip_steps, skip_to, skip_total)`` so the walk advances a whole run
+in one table lookup while still drawing exactly ``skip_steps``
+uniforms, the floats the stepwise walk would have read and discarded
+against cumulative weight 1.0.  Only runs whose every time advance is
+nonnegative are compressed: prefix sums of the run's elapsed time are
+then bounded by ``skip_total``, so a single comparison proves no
+intermediate state crossed the time bound.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.statespace.product import AdversaryTable
-
-#: Uniforms fetched per refill.  Large enough to amortise the bulk call,
-#: small enough that an abandoned tail costs nothing noticeable.
-BLOCK = 4096
-
 
 class FlatTable:
     """One adversary's compiled behaviour as CSR parallel arrays.
@@ -49,7 +36,7 @@ class FlatTable:
     the LCM of every edge delta's denominator, and ``ideltas[e]`` is
     ``deltas[e] * denominator`` exactly.  Elapsed-time accounting in the
     walkers is then pure ``int`` arithmetic — exact, hence
-    byte-identical to the stepwise ``Fraction`` sums, and several times
+    byte-identical to the tree walk's ``Fraction`` sums, and several times
     cheaper per step (for unit-time models the denominator is 1).
     """
 
@@ -103,7 +90,7 @@ class FlatTable:
 
         For integer elapsed ``e``, ``e > bound`` iff
         ``e > floor(bound * denominator)`` — exactly — so walkers
-        compare two ints where the stepwise engines compare Fractions.
+        compare two ints where the tree walk compares Fractions.
         """
         if bound is None:
             return None
@@ -218,61 +205,3 @@ def _compress_chains(flat: FlatTable) -> None:
     flat.skip_steps = skip_steps
     flat.skip_to = skip_to
     flat.skip_total = skip_total
-
-
-class UniformSource:
-    """A block-buffered stream of uniforms over one private ``Random``.
-
-    The stream's *consumed prefix* is exactly the sequence
-    ``rng.random(), rng.random(), ...`` the stepwise engines would have
-    drawn — whether blocks come from the numpy twin generator
-    (bit-identical transplant) or from ``rng.random()`` itself.  The
-    walker reads ``data``/``pos`` directly in its inner loop and writes
-    ``pos`` back on exit; :meth:`refill` and :meth:`skip` are the only
-    operations that touch the underlying generator.
-    """
-
-    __slots__ = ("rng", "block", "data", "pos", "bulk")
-
-    def __init__(
-        self,
-        rng: random.Random,
-        block: int = BLOCK,
-        bulk: Optional[Callable[[int], List[float]]] = None,
-    ):
-        self.rng = rng
-        self.block = block
-        self.data: List[float] = []
-        self.pos = 0
-        self.bulk = bulk
-
-    @property
-    def backend(self) -> str:
-        """Which block filler is active: ``"numpy"`` or ``"pure"``."""
-        return "pure" if self.bulk is None else "numpy"
-
-    def refill(self) -> List[float]:
-        """Fetch the next block; returns the fresh ``data`` list."""
-        if self.bulk is None:
-            rand = self.rng.random
-            self.data = [rand() for _ in range(self.block)]
-        else:
-            self.data = self.bulk(self.block)
-        self.pos = 0
-        return self.data
-
-    def skip(self, count: int) -> None:
-        """Discard ``count`` uniforms (chain compression's fast-forward)."""
-        available = len(self.data) - self.pos
-        if count <= available:
-            self.pos += count
-            return
-        count -= available
-        if self.bulk is None:
-            rand = self.rng.random
-            for _ in range(count):
-                rand()
-        else:
-            self.bulk(count)
-        self.data = []
-        self.pos = 0

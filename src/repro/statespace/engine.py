@@ -7,34 +7,28 @@ all three:
 
 * :class:`TreeEngine` walks the live object graph exactly as the
   library always has (fragments, memoised transitions, policy replay).
-* :class:`CompiledEngine` walks the interned tables of
+* :class:`BatchedEngine` walks the interned tables of
   :mod:`repro.statespace.compile` / :mod:`repro.statespace.product`,
-  falling back to an embedded tree engine per adversary when that
-  adversary could not be tabulated (history-dependent policies) or when
-  a caller needs the final fragment (closure spot checks).
-* :class:`BatchedEngine` walks the same tables flattened into CSR
-  parallel arrays (:mod:`repro.statespace.arrays`), drawing uniforms in
-  blocks — via the numpy state transplant of
-  :mod:`repro.statespace.np_backend` when available, pure python
-  otherwise — and fast-forwarding memoised deterministic runs.
+  flattened into CSR parallel arrays (:mod:`repro.statespace.arrays`)
+  with memoised deterministic runs fast-forwarded, falling back to an
+  embedded tree engine per adversary when that adversary could not be
+  tabulated (history-dependent policies) or when a caller needs the
+  final fragment (closure spot checks).
 
-All engines consume the *identical* randomness per sample — one
-uniform draw per step, resolved against float partial sums accumulated
-exactly as ``FiniteDistribution.sample`` accumulates them; the batched
-engine merely fetches those same floats ahead of time — so reports are
-byte-identical whichever engine ran, for every seed, guard mode, and
-worker count.  The factory :func:`build_engine` implements the
-``--engine {tree,compiled,batched,auto}`` selection rules: ``compiled``
-and ``batched`` propagate
-:class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers the
-batched engine and silently falls back to the tree walk when the
-compile fails.
+Both engines consume the *identical* randomness per sample — one
+``rng.random()`` per step, resolved against float partial sums
+accumulated exactly as ``FiniteDistribution.sample`` accumulates them —
+so reports are byte-identical whichever engine ran, for every seed,
+guard mode, and worker count.  The factory :func:`build_engine`
+implements the ``--engine {tree,batched,auto}`` selection rules:
+``batched`` propagates :class:`~repro.errors.StateBudgetExceeded`,
+``auto`` prefers the batched engine and silently falls back to the
+tree walk when the compile fails.
 """
 
 from __future__ import annotations
 
 import abc
-import weakref
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -53,8 +47,7 @@ from repro.execution.automaton import ExecutionAutomaton
 from repro.execution.measure import EventBounds, event_probability_bounds
 from repro.execution.sampler import SampleResult
 from repro.probability.space import as_fraction
-from repro.statespace import np_backend
-from repro.statespace.arrays import FlatTable, UniformSource, flatten_table
+from repro.statespace.arrays import FlatTable, flatten_table
 from repro.statespace.compile import (
     DEFAULT_STATE_BUDGET,
     IDENTITY_SPEC,
@@ -63,11 +56,9 @@ from repro.statespace.compile import (
 )
 from repro.statespace.product import AdversaryTable, compile_adversary
 
-#: Engine names accepted by ``--engine``.  ``batched-pure`` is the
-#: batched engine with the numpy block filler disabled — the exact path
-#: numpy-less machines take, promoted to a first-class name so the
-#: defect corpus (and users debugging a numpy divergence) can pin it.
-ENGINE_NAMES = ("tree", "compiled", "batched", "batched-pure", "auto")
+#: Engine names accepted by ``--engine`` — the one list the CLI
+#: choices, the defect corpus, and the fuzzer derive theirs from.
+ENGINE_NAMES = ("tree", "batched", "auto")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,7 +83,7 @@ class Engine(abc.ABC):
     the parent's compiled tables and never recompile.
     """
 
-    #: Short strategy label ("tree" / "compiled").
+    #: Short strategy label ("tree" / "batched").
     name: str = ""
 
     @abc.abstractmethod
@@ -107,7 +98,7 @@ class Engine(abc.ABC):
         """One Monte-Carlo sample of the pair's reach-within-time event.
 
         ``want_fragment`` forces a result whose ``final`` fragment is
-        populated (the compiled engine otherwise returns ``final=None``
+        populated (the batched engine otherwise returns ``final=None``
         since it never materialises fragments); callers needing the
         fragment — the execution-closure spot check — set it for that
         sample only, and both engines consume identical randomness
@@ -154,7 +145,7 @@ class TreeEngine(Engine):
         # Bound-free checks use plain reachability: ``EventuallyReach``
         # accepts as soon as the target occurs, never rejects on time,
         # and ``decide_maximal`` rejects halted executions — exactly the
-        # behaviour the compiled samplers implement when their bound is
+        # behaviour the batched walkers implement when their bound is
         # ``None``.
         self._schema = (
             EventuallyReach(target)
@@ -211,10 +202,26 @@ class TreeEngine(Engine):
         return event_probability_bounds(execution, self._schema, max_steps)
 
 
-class CompiledEngine(Engine):
-    """Interned-table evaluation with per-adversary tree fallback."""
+class BatchedEngine(Engine):
+    """Flat-array evaluation with per-adversary tree fallback.
 
-    name = "compiled"
+    The per-adversary tables of :mod:`repro.statespace.product` are
+    flattened into the CSR parallel arrays of
+    :mod:`repro.statespace.arrays`, and memoised deterministic runs are
+    fast-forwarded with one table lookup.  The walkers mirror the loops of
+    :mod:`repro.execution.sampler` decision for decision and draw
+    straight from the caller's ``rng`` — one ``rng.random()`` per step,
+    ``take`` of them when a compressed run advances ``take`` steps — so
+    they consume exactly the draws the tree walk consumes, leave the
+    rng in the same state, and produce byte-identical verdicts, step
+    counts, and metric totals.
+
+    Adversaries that could not be tabulated (history-dependent
+    policies), and samples whose caller needs the final fragment
+    (closure spot checks), go to the embedded :class:`TreeEngine`.
+    """
+
+    name = "batched"
 
     def __init__(
         self,
@@ -230,11 +237,27 @@ class CompiledEngine(Engine):
             if tree.time_bound is None
             else as_fraction(tree.time_bound)
         )
+        self.flat_tables: Tuple[Optional[FlatTable], ...] = tuple(
+            flatten_table(table, flags) for table in tables
+        )
+        # Per-table integer time-bound thresholds (see FlatTable
+        # .scale_bound); index-aligned with flat_tables.
+        self._ibounds: Tuple[Optional[int], ...] = tuple(
+            None if flat is None else flat.scale_bound(self._bound)
+            for flat in self.flat_tables
+        )
 
     @property
     def compiled_adversaries(self) -> int:
         """How many adversaries were tabulated (rest use the tree)."""
         return sum(1 for table in self.tables if table is not None)
+
+    @property
+    def flat_nodes(self) -> int:
+        """Total product nodes across all flattened tables."""
+        return sum(
+            flat.n_nodes for flat in self.flat_tables if flat is not None
+        )
 
     def sample(
         self,
@@ -244,117 +267,190 @@ class CompiledEngine(Engine):
         *,
         want_fragment: bool = False,
     ) -> SampleResult:
-        table = self.tables[adversary_index]
-        if table is None or want_fragment:
+        flat = self.flat_tables[adversary_index]
+        if flat is None or want_fragment:
             return self.tree.sample(
                 adversary_index, start_index, rng, want_fragment=want_fragment
             )
-        return self._sample_table(table, table.start_nodes[start_index], rng)
+        return self._sample_flat(
+            flat,
+            flat.start_nodes[start_index],
+            rng,
+            self._ibounds[adversary_index],
+        )
 
-    def _sample_table(self, table: AdversaryTable, node: int, rng):
-        """Mirror of :func:`sample_event` over index tables.
+    def _sample_flat(self, flat: FlatTable, node: int, rng, bound):
+        """Mirror of :func:`sample_event` over flat arrays.
 
-        Same loop structure, same single uniform draw per step resolved
-        against identically accumulated partial sums, same metric
-        increments — only the data representation differs.  Guard
+        Identical decision order per step (bound-reject, target-accept,
+        horizon, halt, draw), one uniform per step resolved against
+        partial sums accumulated exactly as ``FiniteDistribution.sample``
+        accumulates them; elapsed time is tracked as a scaled integer
+        against the pre-scaled ``bound`` threshold (exact, see
+        ``FlatTable.scale_bound``).  The chain fast-path advances
+        ``run`` steps at once only when ``elapsed + skip_total``
+        provably stays within the bound (run deltas are nonnegative, so
+        every prefix does too) and the run fits the horizon — otherwise
+        it truncates at the horizon (interior nodes are never flagged,
+        and prefix elapsed cannot exceed the already-checked total, so
+        the stepwise walk's final-iteration checks are provably no-ops)
+        or falls back to one stepwise move and re-examines.  Guard
         checks already ran at compile time and consume nothing here.
         """
-        bound = self._bound
-        flags = self.flags
-        node_state = table.node_state
-        choice_targets = table.choice_targets
-        choice_cum = table.choice_cum
-        choice_deltas = table.choice_deltas
         max_steps = self.tree.max_steps
+        offsets = flat.offsets
+        targets = flat.targets
+        cum = flat.cum
+        ideltas = flat.ideltas
+        node_flag = flat.node_flag
+        halt = flat.halt
+        skip_steps = flat.skip_steps
+        skip_to = flat.skip_to
+        skip_total = flat.skip_total
+        rand = rng.random
         obs_on = obs.enabled()
-        elapsed = _ZERO
+        elapsed = 0
         verdict: Optional[bool] = None
         steps_taken = 0
-        for steps_taken in range(max_steps + 1):
+        decisions = 0
+        halts = 0
+        while True:
             if bound is not None and elapsed > bound:
                 verdict = False
                 break
-            if flags[node_state[node]]:
+            if node_flag[node]:
                 verdict = True
                 break
             if steps_taken == max_steps:
                 break
-            targets = choice_targets[node]
-            if obs_on:
-                obs.incr("adversary.decisions")
-                if targets is None:
-                    obs.incr("adversary.halts")
-            if targets is None:
+            run = skip_steps[node]
+            if run:
+                total = skip_total[node]
+                if bound is None or elapsed + total <= bound:
+                    remaining = max_steps - steps_taken
+                    take = run if run <= remaining else remaining
+                    decisions += take
+                    steps_taken += take
+                    for _ in range(take):
+                        rand()
+                    if run > remaining:
+                        # Horizon hit mid-run at an interior (unflagged)
+                        # node with prefix elapsed within the bound.
+                        break
+                    elapsed += total
+                    node = skip_to[node]
+                    continue
+            decisions += 1
+            if halt[node]:
                 # The adversary halted; ReachWithinTime.decide_maximal
                 # rejects maximal executions that never hit the target.
+                halts += 1
                 verdict = False
                 break
-            threshold = rng.random()
-            cum = choice_cum[node]
-            index = len(cum) - 1
-            for position, edge in enumerate(cum):
-                if threshold < edge:
-                    index = position
+            threshold = rand()
+            lo = offsets[node]
+            index = offsets[node + 1] - 1
+            while lo < index:
+                if threshold < cum[lo]:
+                    index = lo
                     break
-            delta = choice_deltas[node][index]
-            if delta:
-                elapsed = elapsed + delta
+                lo += 1
+            elapsed += ideltas[index]
             node = targets[index]
+            steps_taken += 1
         result = SampleResult(verdict, steps_taken, None)
         if obs_on:
+            if decisions:
+                obs.incr("adversary.decisions", decisions)
+            if halts:
+                obs.incr("adversary.halts", halts)
             sampler._record_event_sample(result)
         return result
 
     def time_to_target(
         self, adversary_index: int, start_index: int, rng
     ) -> Optional[Fraction]:
-        table = self.tables[adversary_index]
-        if table is None:
+        flat = self.flat_tables[adversary_index]
+        if flat is None:
             return self.tree.time_to_target(adversary_index, start_index, rng)
-        return self._time_table(table, table.start_nodes[start_index], rng)
+        return self._time_flat(flat, flat.start_nodes[start_index], rng)
 
-    def _time_table(self, table: AdversaryTable, node: int, rng):
-        """Mirror of :func:`sample_time_until` over index tables."""
-        flags = self.flags
-        node_state = table.node_state
-        choice_targets = table.choice_targets
-        choice_cum = table.choice_cum
-        choice_deltas = table.choice_deltas
+    def _time_flat(self, flat: FlatTable, node: int, rng):
+        """Mirror of :func:`sample_time_until` over flat arrays.
+
+        Elapsed time accumulates as a scaled integer and is converted
+        back to the identical ``Fraction`` on return (``Fraction(e, d)``
+        normalises exactly like the stepwise sum).
+        """
         max_steps = self.tree.max_steps
+        offsets = flat.offsets
+        targets = flat.targets
+        cum = flat.cum
+        ideltas = flat.ideltas
+        node_flag = flat.node_flag
+        halt = flat.halt
+        skip_steps = flat.skip_steps
+        skip_to = flat.skip_to
+        skip_total = flat.skip_total
         obs_on = obs.enabled()
-        if flags[node_state[node]]:
+        if node_flag[node]:
             if obs_on:
                 sampler._record_time_sample(_ZERO, 0)
             return _ZERO
-        elapsed = _ZERO
-        reached: Optional[Fraction] = None
+        rand = rng.random
+        elapsed = 0
+        reached: Optional[int] = None
         steps_taken = 0
-        for _ in range(max_steps):
-            targets = choice_targets[node]
-            if obs_on:
-                obs.incr("adversary.decisions")
-                if targets is None:
-                    obs.incr("adversary.halts")
-            if targets is None:
-                break
-            threshold = rng.random()
-            cum = choice_cum[node]
-            index = len(cum) - 1
-            for position, edge in enumerate(cum):
-                if threshold < edge:
-                    index = position
+        decisions = 0
+        halts = 0
+        while steps_taken < max_steps:
+            run = skip_steps[node]
+            if run:
+                remaining = max_steps - steps_taken
+                take = run if run <= remaining else remaining
+                decisions += take
+                steps_taken += take
+                for _ in range(take):
+                    rand()
+                if run > remaining:
+                    # Horizon hit mid-run; interior nodes never flag.
                     break
-            delta = choice_deltas[node][index]
-            if delta:
-                elapsed = elapsed + delta
+                elapsed += skip_total[node]
+                node = skip_to[node]
+                if node_flag[node]:
+                    reached = elapsed
+                    break
+                continue
+            decisions += 1
+            if halt[node]:
+                halts += 1
+                break
+            threshold = rand()
+            lo = offsets[node]
+            index = offsets[node + 1] - 1
+            while lo < index:
+                if threshold < cum[lo]:
+                    index = lo
+                    break
+                lo += 1
+            elapsed += ideltas[index]
             node = targets[index]
             steps_taken += 1
-            if flags[node_state[node]]:
+            if node_flag[node]:
                 reached = elapsed
                 break
+        result = (
+            None
+            if reached is None
+            else Fraction(reached, flat.denominator)
+        )
         if obs_on:
-            sampler._record_time_sample(reached, steps_taken)
-        return reached
+            if decisions:
+                obs.incr("adversary.decisions", decisions)
+            if halts:
+                obs.incr("adversary.halts", halts)
+            sampler._record_time_sample(result, steps_taken)
+        return result
 
     def exact_reach(
         self, adversary_index: int, start_index: int, max_steps: int
@@ -436,296 +532,6 @@ class CompiledEngine(Engine):
         return memo[(root, _ZERO, max_steps)]
 
 
-class BatchedEngine(CompiledEngine):
-    """Flat-array evaluation drawing uniforms in blocks.
-
-    The fast path: the per-adversary tables are flattened into the CSR
-    parallel arrays of :mod:`repro.statespace.arrays`, uniforms are
-    fetched block-at-a-time per sampling stream (one
-    :class:`UniformSource` per ``random.Random``, keyed weakly so
-    abandoned streams free their buffers), and memoised deterministic
-    runs are fast-forwarded in O(1).  Every consumed uniform is exactly
-    the float the stepwise engines would have drawn at that point —
-    numpy's transplanted twin generator is bit-identical to
-    ``rng.random()``, and ``force_pure=True`` pins the pure-python
-    filler for reference runs — so verdicts, step counts, and metric
-    totals are byte-identical to :class:`CompiledEngine`.
-
-    Sources buffer *ahead* of the underlying python generator, which is
-    safe because each stream is private to one (adversary, start) pair
-    or one time-measurement task: the harness never draws from the rng
-    directly once batched sampling has begun (the one direct use — the
-    ``want_fragment`` closure probe — is always a pair's first sample).
-    ``exact_reach`` and all fallbacks are inherited unchanged.
-    """
-
-    name = "batched"
-
-    def __init__(
-        self,
-        tree: TreeEngine,
-        tables: Tuple[Optional[AdversaryTable], ...],
-        flags: List[bool],
-        *,
-        force_pure: bool = False,
-    ):
-        super().__init__(tree, tables, flags)
-        self.flat_tables: Tuple[Optional[FlatTable], ...] = tuple(
-            flatten_table(table, flags) for table in tables
-        )
-        self.force_pure = force_pure
-        self._sources: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._last_rng = None
-        self._last_source: Optional[UniformSource] = None
-        # Per-table integer time-bound thresholds (see FlatTable
-        # .scale_bound); index-aligned with flat_tables.
-        self._ibounds: Tuple[Optional[int], ...] = tuple(
-            None if flat is None else flat.scale_bound(self._bound)
-            for flat in self.flat_tables
-        )
-
-    @property
-    def flat_nodes(self) -> int:
-        """Total product nodes across all flattened tables."""
-        return sum(
-            flat.n_nodes for flat in self.flat_tables if flat is not None
-        )
-
-    def _source_for(self, rng) -> UniformSource:
-        if rng is self._last_rng:
-            return self._last_source
-        source = self._sources.get(rng)
-        if source is None:
-            bulk = None if self.force_pure else np_backend.make_bulk(rng)
-            source = UniformSource(rng, bulk=bulk)
-            self._sources[rng] = source
-        self._last_rng = rng
-        self._last_source = source
-        return source
-
-    def sample(
-        self,
-        adversary_index: int,
-        start_index: int,
-        rng,
-        *,
-        want_fragment: bool = False,
-    ) -> SampleResult:
-        flat = self.flat_tables[adversary_index]
-        if flat is None or want_fragment:
-            return super().sample(
-                adversary_index, start_index, rng, want_fragment=want_fragment
-            )
-        return self._sample_flat(
-            flat,
-            flat.start_nodes[start_index],
-            rng,
-            self._ibounds[adversary_index],
-        )
-
-    def _sample_flat(self, flat: FlatTable, node: int, rng, bound):
-        """Mirror of ``_sample_table`` over flat arrays and block draws.
-
-        Identical decision order per step (bound-reject, target-accept,
-        horizon, halt, draw); elapsed time is tracked as a scaled
-        integer against the pre-scaled ``bound`` threshold (exact, see
-        ``FlatTable.scale_bound``).  The chain fast-path advances
-        ``run`` steps at once only when ``elapsed + skip_total``
-        provably stays within the bound (run deltas are nonnegative, so
-        every prefix does too) and the run fits the horizon — otherwise
-        it truncates at the horizon (interior nodes are never flagged,
-        and prefix elapsed cannot exceed the already-checked total, so
-        the stepwise walk's final-iteration checks are provably no-ops)
-        or falls back to one stepwise move and re-examines.
-        """
-        max_steps = self.tree.max_steps
-        offsets = flat.offsets
-        targets = flat.targets
-        cum = flat.cum
-        ideltas = flat.ideltas
-        node_flag = flat.node_flag
-        halt = flat.halt
-        skip_steps = flat.skip_steps
-        skip_to = flat.skip_to
-        skip_total = flat.skip_total
-        source = self._source_for(rng)
-        data = source.data
-        pos = source.pos
-        size = len(data)
-        obs_on = obs.enabled()
-        elapsed = 0
-        verdict: Optional[bool] = None
-        steps_taken = 0
-        decisions = 0
-        halts = 0
-        while True:
-            if bound is not None and elapsed > bound:
-                verdict = False
-                break
-            if node_flag[node]:
-                verdict = True
-                break
-            if steps_taken == max_steps:
-                break
-            run = skip_steps[node]
-            if run:
-                total = skip_total[node]
-                if bound is None or elapsed + total <= bound:
-                    remaining = max_steps - steps_taken
-                    take = run if run <= remaining else remaining
-                    decisions += take
-                    steps_taken += take
-                    new_pos = pos + take
-                    if new_pos <= size:
-                        pos = new_pos
-                    else:
-                        source.pos = size
-                        source.skip(new_pos - size)
-                        data = source.data
-                        pos = source.pos
-                        size = len(data)
-                    if run > remaining:
-                        # Horizon hit mid-run at an interior (unflagged)
-                        # node with prefix elapsed within the bound.
-                        break
-                    elapsed += total
-                    node = skip_to[node]
-                    continue
-            decisions += 1
-            if halt[node]:
-                halts += 1
-                verdict = False
-                break
-            if pos == size:
-                data = source.refill()
-                pos = 0
-                size = len(data)
-            threshold = data[pos]
-            pos += 1
-            lo = offsets[node]
-            index = offsets[node + 1] - 1
-            while lo < index:
-                if threshold < cum[lo]:
-                    index = lo
-                    break
-                lo += 1
-            elapsed += ideltas[index]
-            node = targets[index]
-            steps_taken += 1
-        source.pos = pos
-        result = SampleResult(verdict, steps_taken, None)
-        if obs_on:
-            if decisions:
-                obs.incr("adversary.decisions", decisions)
-            if halts:
-                obs.incr("adversary.halts", halts)
-            sampler._record_event_sample(result)
-        return result
-
-    def time_to_target(
-        self, adversary_index: int, start_index: int, rng
-    ) -> Optional[Fraction]:
-        flat = self.flat_tables[adversary_index]
-        if flat is None:
-            return self.tree.time_to_target(adversary_index, start_index, rng)
-        return self._time_flat(flat, flat.start_nodes[start_index], rng)
-
-    def _time_flat(self, flat: FlatTable, node: int, rng):
-        """Mirror of ``_time_table`` over flat arrays and block draws.
-
-        Elapsed time accumulates as a scaled integer and is converted
-        back to the identical ``Fraction`` on return (``Fraction(e, d)``
-        normalises exactly like the stepwise sum).
-        """
-        max_steps = self.tree.max_steps
-        offsets = flat.offsets
-        targets = flat.targets
-        cum = flat.cum
-        ideltas = flat.ideltas
-        node_flag = flat.node_flag
-        halt = flat.halt
-        skip_steps = flat.skip_steps
-        skip_to = flat.skip_to
-        skip_total = flat.skip_total
-        obs_on = obs.enabled()
-        if node_flag[node]:
-            if obs_on:
-                sampler._record_time_sample(_ZERO, 0)
-            return _ZERO
-        source = self._source_for(rng)
-        data = source.data
-        pos = source.pos
-        size = len(data)
-        elapsed = 0
-        reached: Optional[int] = None
-        steps_taken = 0
-        decisions = 0
-        halts = 0
-        while steps_taken < max_steps:
-            run = skip_steps[node]
-            if run:
-                remaining = max_steps - steps_taken
-                take = run if run <= remaining else remaining
-                decisions += take
-                steps_taken += take
-                new_pos = pos + take
-                if new_pos <= size:
-                    pos = new_pos
-                else:
-                    source.pos = size
-                    source.skip(new_pos - size)
-                    data = source.data
-                    pos = source.pos
-                    size = len(data)
-                if run > remaining:
-                    # Horizon hit mid-run; interior nodes never flag.
-                    break
-                elapsed += skip_total[node]
-                node = skip_to[node]
-                if node_flag[node]:
-                    reached = elapsed
-                    break
-                continue
-            decisions += 1
-            if halt[node]:
-                halts += 1
-                break
-            if pos == size:
-                data = source.refill()
-                pos = 0
-                size = len(data)
-            threshold = data[pos]
-            pos += 1
-            lo = offsets[node]
-            index = offsets[node + 1] - 1
-            while lo < index:
-                if threshold < cum[lo]:
-                    index = lo
-                    break
-                lo += 1
-            elapsed += ideltas[index]
-            node = targets[index]
-            steps_taken += 1
-            if node_flag[node]:
-                reached = elapsed
-                break
-        source.pos = pos
-        result = (
-            None
-            if reached is None
-            else Fraction(reached, flat.denominator)
-        )
-        if obs_on:
-            if decisions:
-                obs.incr("adversary.decisions", decisions)
-            if halts:
-                obs.incr("adversary.halts", halts)
-            sampler._record_time_sample(result, steps_taken)
-        return result
-
-
 def build_engine(
     automaton: ProbabilisticAutomaton,
     adversaries: Sequence[Tuple[str, object]],
@@ -745,17 +551,10 @@ def build_engine(
     Selection rules:
 
     * ``tree`` — always the tree walk.
-    * ``compiled`` — compile or die: a blown state budget propagates as
+    * ``batched`` — compile or die: a blown state budget propagates as
       :class:`StateBudgetExceeded`; ``--fuel`` is refused (fuel
-      accounting is inherently per-fragment).
-    * ``batched`` — compile or die exactly like ``compiled``, then walk
-      the flattened arrays; the numpy block filler is auto-detected per
-      sampling stream, with the pure-python filler as the always-present
-      fallback.
-    * ``batched-pure`` — the batched engine with the numpy block filler
-      forced off; byte-identical to ``batched`` by construction and
-      selectable explicitly so the pure path is testable on machines
-      where numpy is installed.
+      accounting is inherently per-fragment).  Then walk the flattened
+      arrays.
     * ``auto`` — prefer the batched engine when everything fits the
       budget and guards permit, else silently use the tree walk.
 
@@ -783,7 +582,7 @@ def build_engine(
     if engine == "tree":
         return tree
     if config.fuelled:
-        if engine in ("compiled", "batched", "batched-pure"):
+        if engine == "batched":
             raise VerificationError(
                 f"--engine {engine} is incompatible with --fuel: fuel is "
                 "accounted per execution fragment, which compiled "
@@ -816,19 +615,13 @@ def build_engine(
             # cover it like any other compile-time violation.
             flags = space.flags(target, guards)
     except StateBudgetExceeded:
-        if engine in ("compiled", "batched", "batched-pure"):
+        if engine == "batched":
             raise
         return tree
     except ContractViolation:
         return tree
-    if engine == "compiled":
-        compiled: CompiledEngine = CompiledEngine(tree, tables, flags)
-    else:
-        compiled = BatchedEngine(
-            tree, tables, flags, force_pure=(engine == "batched-pure")
-        )
+    batched = BatchedEngine(tree, tables, flags)
     if obs.enabled():
-        obs.gauge("statespace.compiled_adversaries", compiled.compiled_adversaries)
-        if isinstance(compiled, BatchedEngine):
-            obs.gauge("statespace.flat_nodes", compiled.flat_nodes)
-    return compiled
+        obs.gauge("statespace.compiled_adversaries", batched.compiled_adversaries)
+        obs.gauge("statespace.flat_nodes", batched.flat_nodes)
+    return batched

@@ -5,10 +5,9 @@ Three concerns share these fixtures:
 * regression tests for the compiled-engine correctness fixes (the
   unbounded time-bound crash, the ambiguous ``==``-match in
   ``_match_step``, the unchecked quotient-invariance of ``flags``);
-* the cross-backend byte-identity matrix — ``check`` / ``verify`` /
-  ``expected-time`` stdout must be identical for
-  tree == compiled == batched(pure) == batched(numpy) across
-  workers x guards;
+* the cross-engine byte-identity matrix — ``check`` / ``verify`` /
+  ``expected-time`` stdout must be identical for every ``--engine``
+  across workers x guards — and draw-for-draw rng consumption;
 * the ring-rotation quotient: golden quotiented n=3 counts and the
   n=5 exact-reach feasibility smoke test.
 """
@@ -37,13 +36,12 @@ from repro.errors import QuotientInvarianceError
 from repro.parallel import fork_available
 from repro.parallel.seeds import rng_from_seed
 from repro.statespace import (
+    ENGINE_NAMES,
     BatchedEngine,
-    UniformSource,
     build_engine,
     compile_adversary,
     compile_space,
 )
-from repro.statespace import np_backend
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -74,29 +72,29 @@ def build_for(setup, statement, *, time_bound="statement", **kwargs):
 
 
 class TestUnboundedTimeBound:
-    """Regression: a bound-free check must not crash the compiled paths.
+    """Regression: a bound-free check must not crash the table walks.
 
-    ``CompiledEngine`` compared ``elapsed > bound`` with
+    The table engine once compared ``elapsed > bound`` with
     ``self._bound = None`` whenever the check carried no time bound — a
     ``TypeError`` on the first sampled step (and in the exact DP).
     """
 
-    def test_compiled_sample_without_bound(self, setup3, statement):
-        compiled = build_for(
-            setup3, statement, time_bound=None, engine="compiled"
+    def test_batched_sample_without_bound(self, setup3, statement):
+        batched = build_for(
+            setup3, statement, time_bound=None, engine="batched"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
         for seed in (0, 1, 2):
-            got = compiled.sample(0, 0, rng_from_seed(seed))
+            got = batched.sample(0, 0, rng_from_seed(seed))
             want = tree.sample(0, 0, rng_from_seed(seed))
             assert (got.verdict, got.steps) == (want.verdict, want.steps)
 
-    def test_compiled_exact_reach_without_bound(self, setup3, statement):
-        compiled = build_for(
-            setup3, statement, time_bound=None, engine="compiled"
+    def test_batched_exact_reach_without_bound(self, setup3, statement):
+        batched = build_for(
+            setup3, statement, time_bound=None, engine="batched"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
-        got = compiled.exact_reach(0, 0, 40)
+        got = batched.exact_reach(0, 0, 40)
         want = tree.exact_reach(0, 0, 40)
         assert (got.lower, got.upper) == (want.lower, want.upper)
 
@@ -175,63 +173,23 @@ class TestAmbiguousMatch:
 
 
 # ---------------------------------------------------------------------------
-# Batched sampling: uniform sources and engine-level byte identity
+# Batched sampling: engine-level byte identity and rng consumption
 # ---------------------------------------------------------------------------
 
 
-class TestUniformSource:
-    @staticmethod
-    def _reference(seed, count):
-        rng = rng_from_seed(seed)
-        return [rng.random() for _ in range(count)]
-
-    def test_numpy_block_matches_python_stream(self):
-        if not np_backend.available():
-            pytest.skip("numpy not installed")
-        reference = self._reference(9, 3000)
-        source = UniformSource(
-            rng_from_seed(9),
-            block=128,
-            bulk=np_backend.make_bulk(rng_from_seed(9)),
-        )
-        drawn = []
-        while len(drawn) < 3000:
-            drawn.extend(source.refill())
-        assert drawn[:3000] == reference
-
-    def test_pure_block_matches_python_stream(self):
-        reference = self._reference(9, 300)
-        source = UniformSource(rng_from_seed(9), block=300)
-        assert source.refill() == reference
-
-    def test_skip_discards_exactly(self):
-        reference = self._reference(4, 500)
-        source = UniformSource(rng_from_seed(4), block=100)
-        data = source.refill()
-        first = data[0]
-        source.pos = 1
-        source.skip(250)  # crosses two block boundaries
-        data = source.refill()
-        assert first == reference[0]
-        assert data[0] == reference[251]
-
-
 class TestBatchedByteIdentity:
-    """Engine API level: batched(pure) == batched(numpy) == compiled."""
+    """Engine API level: batched == tree, draw for draw."""
 
     def _engines(self, setup3, statement):
+        tree = build_for(setup3, statement, engine="tree")
         batched = build_for(setup3, statement, engine="batched")
-        pure = BatchedEngine(
-            batched.tree, batched.tables, batched.flags, force_pure=True
-        )
-        compiled = build_for(setup3, statement, engine="compiled")
-        return compiled, batched, pure
+        return tree, batched
 
     def test_sample_stream_identical(self, setup3, statement):
-        compiled, batched, pure = self._engines(setup3, statement)
+        tree, batched = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (compiled, batched, pure):
+            for engine in (tree, batched):
                 rng = rng_from_seed(31 + adversary_index)
                 streams.append([
                     (result.verdict, result.steps)
@@ -240,50 +198,41 @@ class TestBatchedByteIdentity:
                         for _ in range(40)
                     )
                 ])
-            assert streams[0] == streams[1] == streams[2]
+            assert streams[0] == streams[1]
 
     def test_time_stream_identical(self, setup3, statement):
-        compiled, batched, pure = self._engines(setup3, statement)
+        tree, batched = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (compiled, batched, pure):
+            for engine in (tree, batched):
                 rng = rng_from_seed(77 + adversary_index)
                 streams.append([
                     engine.time_to_target(adversary_index, 0, rng)
                     for _ in range(25)
                 ])
-            assert streams[0] == streams[1] == streams[2]
+            assert streams[0] == streams[1]
 
-    def test_batched_without_bound(self, setup3, statement):
-        # The unbounded-time regression, on the flat walker too.
-        batched = build_for(
-            setup3, statement, time_bound=None, engine="batched"
-        )
-        tree = build_for(setup3, statement, time_bound=None, engine="tree")
-        for seed in (0, 1, 2):
-            got = batched.sample(0, 0, rng_from_seed(seed))
-            want = tree.sample(0, 0, rng_from_seed(seed))
-            assert (got.verdict, got.steps) == (want.verdict, want.steps)
-
-    def test_numpy_absent_machine_takes_pure_path(
-        self, setup3, statement, monkeypatch
-    ):
-        # A machine without numpy: available() is False and make_bulk
-        # degrades to None.  Both the implicit fallback under
-        # --engine batched and the explicit batched-pure engine name
-        # must build and match the tree walk byte for byte.
-        monkeypatch.setattr(np_backend, "available", lambda: False)
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        tree = build_for(setup3, statement, engine="tree")
-        batched = build_for(setup3, statement, engine="batched")
-        pure = build_for(setup3, statement, engine="batched-pure")
-        for seed in (0, 1, 2):
-            want = tree.sample(0, 0, rng_from_seed(seed))
-            for engine in (batched, pure):
-                got = engine.sample(0, 0, rng_from_seed(seed))
-                assert (got.verdict, got.steps) == (
-                    want.verdict, want.steps
-                )
+    def test_rng_state_matches_tree_after_each_call(self, setup3, statement):
+        # The flat walker draws straight from the caller's rng — one
+        # uniform per step, including the steps a compressed run skips —
+        # so after every call the generator is exactly where the tree
+        # walk leaves it (no draws buffered ahead).
+        tree, batched = self._engines(setup3, statement)
+        tabled = [
+            index for index, flat in enumerate(batched.flat_tables)
+            if flat is not None
+        ]
+        assert tabled, "no adversary flattened"
+        for adversary_index in tabled:
+            rngs = [rng_from_seed(5 + adversary_index) for _ in range(2)]
+            for _ in range(12):
+                for engine, rng in zip((tree, batched), rngs):
+                    engine.sample(adversary_index, 0, rng)
+                assert rngs[0].getstate() == rngs[1].getstate()
+            for _ in range(12):
+                for engine, rng in zip((tree, batched), rngs):
+                    engine.time_to_target(adversary_index, 0, rng)
+                assert rngs[0].getstate() == rngs[1].getstate()
 
     def test_flat_chain_arrays_are_consistent(self, setup3, statement):
         batched = build_for(setup3, statement, engine="batched")
@@ -317,8 +266,6 @@ CLI_MATRIX = [
     for guards in ("off", "warn", "strict")
 ]
 
-CLI_ENGINES = ("tree", "compiled", "batched", "auto")
-
 
 def _run_cli(capsys, argv):
     code = main(argv)
@@ -326,15 +273,10 @@ def _run_cli(capsys, argv):
 
 
 class TestCliBackendMatrix:
-    """CLI stdout is byte-identical across every backend combination.
-
-    ``batched-pure`` is exercised by disabling the numpy transplant via
-    monkeypatch — fork-started workers inherit the patched module, so
-    the pure path is pinned for parallel runs too.
-    """
+    """CLI stdout is byte-identical across every engine combination."""
 
     @pytest.mark.parametrize("workers,guards", CLI_MATRIX)
-    def test_check_matrix(self, capsys, monkeypatch, workers, guards):
+    def test_check_matrix(self, capsys, workers, guards):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -343,14 +285,10 @@ class TestCliBackendMatrix:
             "--json", "--no-manifest",
         ]
         runs = {}
-        for engine in CLI_ENGINES:
+        for engine in ENGINE_NAMES:
             runs[engine] = _run_cli(capsys, [
                 "check", "--prop", "composed", "--engine", engine,
             ] + argv_tail)
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(capsys, [
-            "check", "--prop", "composed", "--engine", "batched",
-        ] + argv_tail)
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():
@@ -359,7 +297,7 @@ class TestCliBackendMatrix:
             )
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_verify_identical(self, capsys, monkeypatch, workers):
+    def test_verify_identical(self, capsys, workers):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -367,21 +305,17 @@ class TestCliBackendMatrix:
             "--workers", str(workers), "--no-manifest",
         ]
         runs = {}
-        for engine in CLI_ENGINES:
+        for engine in ENGINE_NAMES:
             runs[engine] = _run_cli(
                 capsys, ["verify", "--engine", engine] + argv_tail
             )
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(
-            capsys, ["verify", "--engine", "batched"] + argv_tail
-        )
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():
             assert run == baseline, f"{engine} diverged at workers={workers}"
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_expected_time_identical(self, capsys, monkeypatch, workers):
+    def test_expected_time_identical(self, capsys, workers):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -389,14 +323,10 @@ class TestCliBackendMatrix:
             "--workers", str(workers), "--no-manifest",
         ]
         runs = {}
-        for engine in CLI_ENGINES:
+        for engine in ENGINE_NAMES:
             runs[engine] = _run_cli(
                 capsys, ["expected-time", "--engine", engine] + argv_tail
             )
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(
-            capsys, ["expected-time", "--engine", "batched"] + argv_tail
-        )
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():

@@ -683,6 +683,15 @@ class TestLintAssertBan:
         exempt.write_text("def test_f():\n    assert True\n")
         assert lint.run_ban_check([tmp_path / "tests"]) == 0
 
+    def test_numpy_flagged_in_every_src_module(self, lint, tmp_path):
+        # The former numpy backend's path holds no exemption.
+        src = tmp_path / "src" / "repro" / "statespace" / "np_backend.py"
+        src.parent.mkdir(parents=True)
+        src.write_text("import numpy\n")
+        findings = lint.banned_handlers(src)
+        assert any("numpy" in message for _, message in findings)
+        assert lint.run_ban_check([tmp_path]) == 1
+
     def test_repo_src_is_clean(self, lint):
         root = Path(__file__).resolve().parent.parent
         assert lint.run_ban_check([root / "src"]) == 0

@@ -14,6 +14,7 @@ import pytest
 from repro.corpus.runner import report_digest
 from repro.errors import VerificationError
 from repro.models import get_model
+from repro.statespace import ENGINE_NAMES
 from repro.statespace.compile import compile_space
 
 
@@ -85,7 +86,7 @@ class TestEndToEnd:
         setup = herman.build(3)
         statement = herman.leaf_statements(3)["H.1"]
         digests = set()
-        for engine in ("tree", "compiled", "batched", "batched-pure"):
+        for engine in ENGINE_NAMES:
             report = check_statement(
                 statement, setup, seed=0, samples_per_pair=8,
                 max_steps=60, engine=engine,

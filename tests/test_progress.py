@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import progress
+from repro.statespace import ENGINE_NAMES
 
 
 class FakeClock:
@@ -167,7 +168,7 @@ class TestCliByteIdentity:
         for flag, workers, engine in itertools.product(
             ((), ("--progress",)),
             ("1", "4"),
-            ("tree", "compiled", "auto"),
+            ENGINE_NAMES,
         ):
             argv = [
                 *self.CHECK, *flag,

@@ -413,6 +413,46 @@ class TestWorkerLoop:
         assert hit["stdout"] == direct
         assert hit["exit_status"] == code
 
+    def test_usage_error_is_recorded_but_not_cached(self, tmp_path):
+        # A job queued under an older CLI that pins a since-retired
+        # ``--engine`` name no longer parses when served: it completes
+        # with exit 2, and must not answer later jobs of its scope.
+        store = JobStore(str(tmp_path / "svc"))
+        stale = JobSpec(
+            argv=QUICK + ("--engine", "compiled"), command="check",
+            scope=_spec().scope,
+        )
+        view = store.submit(stale)
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1
+        final = JobStore(str(tmp_path / "svc")).jobs()[view.job_id]
+        assert (final.state, final.exit_status) == ("completed", 2)
+        assert cache.get(stale.scope) is None
+
+        store.submit(_spec())
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1 and summary["cache_hits"] == 0
+        assert cache.get(stale.scope)["exit_status"] == 0
+
+    def test_blown_state_budget_is_recorded_but_not_cached(self, tmp_path):
+        # ``--engine`` and ``--state-budget`` are outside the scope, so a
+        # batched job that blows its budget (exit 2) shares the scope of
+        # the plain check and must not answer it from the cache.
+        store = JobStore(str(tmp_path / "svc"))
+        blown = _spec(*QUICK, "--engine", "batched", "--state-budget", "10")
+        assert blown.scope == _spec().scope
+        view = store.submit(blown)
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1
+        final = JobStore(str(tmp_path / "svc")).jobs()[view.job_id]
+        assert (final.state, final.exit_status) == ("completed", 2)
+        assert cache.get(blown.scope) is None
+
+        store.submit(_spec())
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1 and summary["cache_hits"] == 0
+        assert cache.get(blown.scope)["exit_status"] == 0
+
     def test_failing_job_consumes_attempts(self, tmp_path):
         store = JobStore(str(tmp_path / "svc"))
         view = store.submit(_spec(), max_attempts=2)

@@ -2,9 +2,9 @@
 
 The contract under test (``docs/statespace.md``): a verification report
 is a pure function of the problem and the root seed — *never* of the
-evaluation strategy.  ``--engine tree``, ``--engine compiled``,
-``--engine batched``, and ``--engine auto`` must produce byte-identical
-CLI JSON for every seed, worker count, and guard mode, and the interned
+evaluation strategy.  ``--engine tree``, ``--engine batched``, and
+``--engine auto`` must produce byte-identical CLI JSON for every seed,
+worker count, and guard mode, and the interned
 representation itself is pinned by golden state/transition counts for
 the n=3 ring.
 """
@@ -12,7 +12,11 @@ the n=3 ring.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +27,8 @@ from repro.contracts import OFF_CONFIG, WARN, GuardConfig
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.parallel import fork_available
 from repro.statespace import (
+    ENGINE_NAMES,
     BatchedEngine,
-    CompiledEngine,
     SpaceSpec,
     TreeEngine,
     build_engine,
@@ -36,7 +40,7 @@ from repro.statespace import (
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 SAMPLES = 12
-ENGINES = ("tree", "compiled", "batched", "auto")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +129,6 @@ class TestEngineSelection:
         engine = engine_for(setup3, statement, engine="tree")
         assert type(engine) is TreeEngine
 
-    def test_compiled_requested_gives_compiled(self, setup3, statement):
-        engine = engine_for(setup3, statement, engine="compiled")
-        assert type(engine) is CompiledEngine
-
     def test_batched_requested_gives_batched(self, setup3, statement):
         engine = engine_for(setup3, statement, engine="batched")
         assert type(engine) is BatchedEngine
@@ -136,13 +136,6 @@ class TestEngineSelection:
     def test_auto_prefers_batched(self, setup3, statement):
         engine = engine_for(setup3, statement, engine="auto")
         assert type(engine) is BatchedEngine
-
-    def test_compiled_with_fuel_is_refused(self, setup3, statement):
-        fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
-        with pytest.raises(VerificationError):
-            engine_for(
-                setup3, statement, engine="compiled", guards=fuelled
-            )
 
     def test_batched_with_fuel_is_refused(self, setup3, statement):
         fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
@@ -161,12 +154,6 @@ class TestEngineSelection:
         fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
         engine = engine_for(setup3, statement, engine="auto", guards=fuelled)
         assert type(engine) is TreeEngine
-
-    def test_compiled_with_tiny_budget_raises(self, setup3, statement):
-        with pytest.raises(StateBudgetExceeded):
-            engine_for(
-                setup3, statement, engine="compiled", state_budget=10
-            )
 
     def test_auto_with_tiny_budget_falls_back_to_tree(self, setup3, statement):
         engine = engine_for(
@@ -202,10 +189,10 @@ class TestReportEquivalence:
                 statement, setup3, seed=seed,
                 samples_per_pair=SAMPLES, random_starts=2, engine=engine,
             )
-            for engine in ENGINES
+            for engine in ENGINE_NAMES
         }
         baseline = json.dumps(reports["tree"].to_dict(), sort_keys=True)
-        for engine in ("compiled", "batched", "auto"):
+        for engine in ENGINE_NAMES[1:]:
             assert baseline == json.dumps(
                 reports[engine].to_dict(), sort_keys=True
             ), f"engine {engine!r} diverged from tree at seed {seed}"
@@ -226,7 +213,7 @@ class TestCliByteIdentity:
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         runs = {}
-        for engine in ENGINES:
+        for engine in ENGINE_NAMES:
             code = main([
                 "check", "--prop", "composed", "--n", "3",
                 "--seed", "5", "--samples", str(SAMPLES),
@@ -234,18 +221,52 @@ class TestCliByteIdentity:
                 "--engine", engine, "--json",
             ])
             runs[engine] = (code, capsys.readouterr().out)
-        assert (
-            runs["tree"] == runs["compiled"] == runs["batched"] == runs["auto"]
+        assert all(
+            run == runs["tree"] for run in runs.values()
         ), f"CLI output diverged at workers={workers} guards={guards}"
 
     def test_state_budget_exit_code(self, capsys):
         code = main([
             "check", "--prop", "composed", "--n", "3",
             "--seed", "5", "--samples", "4",
-            "--engine", "compiled", "--state-budget", "10", "--json",
+            "--engine", "batched", "--state-budget", "10", "--json",
         ])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("retired", ("compiled", "batched-pure"))
+    def test_retired_engine_names_are_usage_errors(self, capsys, retired):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "check", "--prop", "composed", "--n", "3",
+                "--samples", "4", "--engine", retired,
+            ])
+        assert exit_info.value.code == 2
+        (error,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "invalid choice" in line
+        ]
+        assert retired in error
+        for name in ENGINE_NAMES:
+            assert name in error
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # The library is pure python: a cold ``import repro.cli`` must not
+    # pay numpy's import time and memory on every ``repro`` process.
+    probe = (
+        "import sys, repro.cli; "
+        "sys.exit(1 if 'numpy' in sys.modules else 0)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr or "numpy was imported"
 
 
 class TestSpaceSpecQuotient:
