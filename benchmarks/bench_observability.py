@@ -151,20 +151,23 @@ def test_skipped_manifest_path_under_5_percent(setup3):
     path is two attribute probes.  Bound it against a single arrow
     check — the smallest unit of real work a CLI run performs.
     """
-    from repro.cli import _maybe_write_manifest
+    from repro.cli import _maybe_write_manifest, build_parser
 
     run_check(setup3)  # warm caches before timing
     check_seconds = best_of(lambda: run_check(setup3))
 
+    parser = build_parser()
     skipped = argparse.Namespace(command="check", skip_manifest=True)
     opted_out = argparse.Namespace(command="check", manifest=False)
     per_run_cost = max(
         per_call_cost(
-            lambda: _maybe_write_manifest(skipped, [], "t", 0.0, 0),
+            lambda: _maybe_write_manifest(parser, skipped, [], "t", 0.0, 0),
             calls=20_000,
         ),
         per_call_cost(
-            lambda: _maybe_write_manifest(opted_out, [], "t", 0.0, 0),
+            lambda: _maybe_write_manifest(
+                parser, opted_out, [], "t", 0.0, 0
+            ),
             calls=20_000,
         ),
     )

@@ -96,8 +96,9 @@ EXIT_STATUS_EPILOG = """\
 exit status:
   0  success: every checked claim held
   1  a checked claim was refuted (or a measured bound failed)
-  2  usage error (unknown flags or propositions, contradictory flags,
-     or --engine batched blew its --state-budget)
+  2  usage error (unknown flags, models or propositions, an instance
+     size outside the model's range, contradictory flags, or
+     --engine batched blew its --state-budget)
   3  infrastructure failure: a pooled run exhausted its
      fault-tolerance budget, a checkpoint file was unusable, or the
      job service failed (lease lost, job store corrupt, workers
@@ -187,20 +188,35 @@ def _resolve_model(args: argparse.Namespace):
     ``--sizes``) as ``None``; this resolves them to the selected
     model's own defaults, so downstream code and the run manifest
     always see concrete values.  Raises
-    :class:`~repro.errors.UnknownModelError` for unregistered names
-    (mapped to exit status 2 in :func:`main`).
+    :class:`~repro.errors.ModelRegistryError` (exit status 2 in
+    :func:`main`) for an unregistered name, a malformed ``--sizes``,
+    or an instance size (``--n`` or any ``--sizes`` entry) outside the
+    model's range.
     """
+    from repro.errors import ModelRegistryError, VerificationError
     from repro.models import get_model
 
     model = get_model(getattr(args, "model", "lr"))
-    if hasattr(args, "n"):
-        if args.n is None:
-            args.n = model.n_default
-        model.validate_n(args.n)
+    if getattr(args, "n", 0) is None:
+        args.n = model.n_default
     if getattr(args, "prop", 0) is None:
         args.prop = model.default_prop
     if getattr(args, "sizes", 0) is None:
         args.sizes = ",".join(str(size) for size in model.sweep_sizes)
+    sizes = [args.n] if hasattr(args, "n") else []
+    if hasattr(args, "sizes"):
+        try:
+            sizes += [int(size) for size in args.sizes.split(",")]
+        except ValueError:
+            raise ModelRegistryError(
+                f"--sizes takes comma-separated integers, got "
+                f"{args.sizes!r}"
+            ) from None
+    for size in sizes:
+        try:
+            model.validate_n(size)
+        except VerificationError as error:
+            raise ModelRegistryError(str(error)) from None
     return model
 
 
@@ -779,6 +795,41 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scope_free(action: argparse.Action) -> argparse.Action:
+    """Declare a flag that cannot change stdout: it stays out of the scope.
+
+    Two runs differing only in scope-free flags share a scope
+    fingerprint, so ``repro runs diff`` compares them and the job
+    service serves one's cached report to the other.  Unmarked means
+    "in the scope": a missing mark can only split a scope, never merge
+    two runs that print different bytes.
+    """
+    action.scope_value = None
+    return action
+
+
+def _corpus_file_scope(path: Optional[str]) -> dict:
+    """``--corpus-file``'s scope entry: the path and the file's sha256.
+
+    A replay runs the entries the file holds, so the same path with
+    other contents is another scope ("absent" before the first
+    ``corpus add``).
+    """
+    import hashlib
+    from pathlib import Path
+
+    from repro.corpus import DEFAULT_CORPUS_FILE
+
+    try:
+        content = Path(path or DEFAULT_CORPUS_FILE).read_bytes()
+        digest = hashlib.sha256(content).hexdigest()
+    except FileNotFoundError:
+        digest = "absent"
+    except OSError:
+        digest = "unreadable"
+    return {"path": path, "sha256": digest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from repro.statespace import ENGINE_NAMES
@@ -795,58 +846,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     traceable = argparse.ArgumentParser(add_help=False)
-    traceable.add_argument(
+    # --trace-out appends a "wrote N trace records" line, yet stays
+    # scope-free so a traced and an untraced run share a ``runs diff``
+    # scope; the job service rejects it at submit instead.
+    _scope_free(traceable.add_argument(
         "--trace-out", metavar="FILE.jsonl", default=None,
         help="record spans and metrics to a JSONL trace file",
-    )
-    traceable.add_argument(
+    ))
+    _scope_free(traceable.add_argument(
         "--no-manifest", action="store_false", dest="manifest",
         help="do not append a provenance record for this run to the "
              "manifest store (default: record one)",
-    )
-    traceable.add_argument(
+    ))
+    _scope_free(traceable.add_argument(
         "--runs-dir", metavar="DIR", default=None, dest="runs_dir",
         help="manifest store location (default: $REPRO_RUNS_DIR or "
              ".repro/runs)",
-    )
+    ))
 
     def add_command(name, **kwargs):
         return sub.add_parser(name, parents=[traceable], **kwargs)
 
     def robust(p):
         """Fault-tolerance flags shared by the sampling subcommands."""
-        p.add_argument(
+        _scope_free(p.add_argument(
             "--progress", action="store_true",
             help="render a live progress line (tasks done, rate, ETA, "
                  "retry/quarantine/degradation counters) on stderr; "
                  "stdout stays byte-identical with or without it",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-task wall-clock timeout; hung workers are "
                  "terminated and the task is retried",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
             help="retries per task after a worker crash, timeout, or "
                  "corrupted result (default: %(default)s)",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--checkpoint", metavar="FILE.jsonl", default=None,
             help="append completed task results to a crash-safe JSONL "
                  "checkpoint",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--resume", action="store_true",
             help="skip tasks already recorded in --checkpoint; the "
                  "resumed report is bit-identical to an uninterrupted run",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--inject-faults", metavar="SPEC", default=None,
             help="deterministically inject worker failures, e.g. "
                  "'crash=0.1,hang=0.05,corrupt=0.02,seed=7' "
                  "(see docs/robustness.md)",
-        )
+        ))
         p.add_argument(
             "--guards", choices=("off", "warn", "strict"), default="warn",
             help="model-contract enforcement: 'off' skips all checks, "
@@ -861,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "'5000' (steps) or 'steps=5000,seconds=2.5'; requires "
                  "--guards warn or strict",
         )
-        p.add_argument(
+        _scope_free(p.add_argument(
             "--engine",
             choices=ENGINE_NAMES,
             default="tree",
@@ -873,14 +927,14 @@ def build_parser() -> argparse.ArgumentParser:
                  "the tree walk otherwise; reports are byte-identical "
                  "whichever engine ran (default: %(default)s; see "
                  "docs/statespace.md)",
-        )
-        p.add_argument(
+        ))
+        _scope_free(p.add_argument(
             "--state-budget", type=int, default=None, metavar="N",
             dest="state_budget",
             help="cap on interned states (and per-adversary product "
                  "nodes) for --engine batched/auto "
                  "(default: 200000)",
-        )
+        ))
 
     def model_flag(p):
         p.add_argument(
@@ -900,11 +954,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--samples", type=int, default=samples_default,
             help="Monte-Carlo samples per (adversary, start) pair",
         )
-        p.add_argument(
+        _scope_free(p.add_argument(
             "--workers", type=int, default=1,
             help="sampling worker processes (1 = sequential; results "
                  "are identical for every count)",
-        )
+        ))
         robust(p)
 
     add_command("prove", help="print the Section 6.2 derivation")\
@@ -967,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--workers", type=int, default=1)
+    _scope_free(p.add_argument("--workers", type=int, default=1))
     robust(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -1132,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="corpus_file",
             help="fuzz-emitted / user-added entries replayed alongside "
                  "the built-ins (default: .repro/corpus/extra.jsonl)",
-        )
+        ).scope_value = _corpus_file_scope
 
     cp = corpus_sub.add_parser(
         "list", help="one row per corpus entry (built-in and file)"
@@ -1187,11 +1241,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign root seed; the same seed and budget reproduce "
              "the identical campaign byte for byte",
     )
-    p.add_argument(
+    _scope_free(p.add_argument(
         "--workers", type=int, default=1,
         help="worker processes per engine run (results are identical "
              "for every count)",
-    )
+    ))
     p.add_argument(
         "--sabotage", metavar="ENGINE", default=None,
         help="deliberately perturb this engine's classification before "
@@ -1205,11 +1259,11 @@ def build_parser() -> argparse.ArgumentParser:
              "mutated (or healthy) build (default: the tiny synthetic "
              "automaton only)",
     )
-    p.add_argument(
+    _scope_free(p.add_argument(
         "--emit", metavar="FILE.jsonl", default=None,
         help="append ready-to-commit corpus records for any findings "
              "(replay with 'repro corpus run --corpus-file FILE.jsonl')",
-    )
+    ))
     p.add_argument(
         "--json", action="store_true",
         help="print the campaign report as canonical JSON",
@@ -1639,59 +1693,52 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-# Namespace attributes that never belong in a manifest's scope
-# fingerprint: plumbing (parser internals, store location), output-only
-# switches, and the robustness/engine flags whose reports are
-# byte-identical by construction (docs/parallel.md, docs/robustness.md,
-# docs/statespace.md) — two runs differing only in these must share a
-# scope so ``repro runs diff`` can compare them.
-_NON_SCOPE_KEYS = frozenset({
-    "func", "command", "manages_tracing", "skip_manifest",
-    "manifest", "runs_dir", "trace_out", "progress", "json",
-    "workers", "engine", "state_budget",
-    "timeout", "retries", "checkpoint", "resume", "inject_faults",
-    "emit",
-})
+def _scope_actions(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The argument actions of the subcommand ``args`` was parsed into.
 
-
-def _manifest_config(args: argparse.Namespace) -> dict:
-    """The result-affecting configuration a manifest's scope hashes.
-
-    The model-dependent flags the parser leaves as ``None`` (``--n``,
-    ``--prop``, ``--sizes``) are resolved to the selected model's
-    defaults, so a run spelling out a default and one omitting it share
-    a scope fingerprint — and the job service's result cache is keyed
-    per model.
+    Descends through nested subcommands (``corpus run``), yielding each
+    level's actions — its own subcommand choice included, the top-level
+    command name (hashed separately) excluded.
     """
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in _NON_SCOPE_KEYS
-        and not key.startswith("final_")
-        and not callable(value)
-    }
-    if config.get("model"):
-        from repro.errors import UnknownModelError
-        from repro.models import get_model
+    while True:
+        choices = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        if not choices:
+            return
+        parser = choices[0].choices[getattr(args, choices[0].dest)]
+        yield from parser._actions
 
-        try:
-            model = get_model(config["model"])
-        except UnknownModelError:
-            # The run itself already failed with a usage error; hash
-            # the unresolved flags rather than fail manifest writing.
-            return config
-        if "n" in config and config["n"] is None:
-            config["n"] = model.n_default
-        if "prop" in config and config["prop"] is None:
-            config["prop"] = model.default_prop
-        if "sizes" in config and config["sizes"] is None:
-            config["sizes"] = ",".join(
-                str(size) for size in model.sweep_sizes
-            )
-    return config
+
+def _manifest_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> dict:
+    """The configuration a run's scope fingerprint hashes.
+
+    Every argument the subcommand declares, except those declared
+    scope-free at their ``add_argument`` call (:func:`_scope_free`); an
+    argument declaring a ``scope_value`` function contributes that
+    function of its value (``--corpus-file`` adds the file's digest).
+    Run commands resolve the model-dependent defaults (``--n``,
+    ``--prop``, ``--sizes``) into ``args`` through
+    :func:`_resolve_model` before this is called, so spelling out a
+    default and omitting it share a scope.
+    """
+    config = {}
+    for action in _scope_actions(parser, args):
+        if not hasattr(args, action.dest):
+            continue  # --help and friends store nothing
+        value = getattr(args, action.dest)
+        if not hasattr(action, "scope_value"):
+            config[action.dest] = value
+        elif action.scope_value is not None:
+            config[action.dest] = action.scope_value(value)
+    return dict(sorted(config.items()))
 
 
 def _maybe_write_manifest(
+    parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     argv: Sequence[str],
     started_at: str,
@@ -1714,7 +1761,7 @@ def _maybe_write_manifest(
     record = mf.new_manifest(
         args.command,
         argv,
-        _manifest_config(args),
+        _manifest_config(parser, args),
         started_at=started_at,
         wall_s=wall_s,
         exit_status=exit_status,
@@ -1769,10 +1816,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.errors import (
         CheckpointError,
         ContractViolation,
+        ModelRegistryError,
         PoolFaultError,
         ServiceError,
         StateBudgetExceeded,
-        UnknownModelError,
     )
 
     parser = build_parser()
@@ -1785,7 +1832,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ContractViolation as error:
         print(f"repro: contract violation: {error}", file=sys.stderr)
         code = EXIT_CONTRACT
-    except UnknownModelError as error:
+    except ModelRegistryError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         code = 2
     except StateBudgetExceeded as error:
@@ -1803,7 +1850,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         code = 3
     _maybe_write_manifest(
-        args, recorded_argv, started_at,
+        parser, args, recorded_argv, started_at,
         time.perf_counter() - started, code,
     )
     return code

@@ -10,13 +10,18 @@ compares the store; ``runs diff`` only makes sense between two runs of
 the same scope, so the fingerprint is the join key.
 
 The scope fingerprint hashes the canonical JSON of the command name
-plus every argument that affects the *result* — statement, samples,
-seed, steps, guard mode, fault spec.  Arguments that are
-byte-identical-by-construction (``--workers``, ``--engine``,
-checkpoint/resume plumbing, output/progress flags) are excluded by the
-CLI before calling :func:`scope_fingerprint`, mirroring the checkpoint
-scope discipline in :mod:`repro.proofs.verifier`: two runs with the
-same fingerprint must produce the same report bytes.
+plus the configuration the CLI derives from the subcommand's declared
+arguments: every argument (statement, samples, seed, guard mode,
+output format) except the flags the parser declares scope-free because
+they cannot change stdout — ``--workers``, ``--engine``, the
+fault-tolerance, progress and manifest flags (``repro.cli._scope_free``).
+Two runs differing only in those share a scope.  The converse is not
+promised: ``--trace-out`` is scope-free so a traced run can be diffed
+against an untraced one, yet it appends a line to stdout, and a pooled
+run's exit status can turn on its machine (a pool exhausting its
+retries).  The job service, which serves one run's bytes for a scope,
+therefore rejects ``--trace-out`` and caches reports only
+(``docs/service.md``).
 
 The store location resolves as: explicit ``--runs-dir`` flag, then the
 ``REPRO_RUNS_DIR`` environment variable, then ``.repro/runs`` under the

@@ -233,8 +233,12 @@ def _child_main(conn, task, fault: Optional[str]) -> None:
     (inherited via fork) never accumulates counts that would be lost.
     Task exceptions are reported over the pipe (they are deterministic
     — the parent must not retry them); injected faults enact the
-    requested failure mode instead.
+    requested failure mode instead.  SIGTERM is reset to its default
+    first: a fork inherits the parent's handler (a served job's worker
+    only flags a graceful stop), and the parent's ``reap`` must be able
+    to kill a hung task.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if fault == CRASH:
         os._exit(_CRASH_EXIT_CODE)
     if fault == HANG:

@@ -1,19 +1,22 @@
 """Job specifications: validated CLI invocations with a cache scope.
 
 A job is nothing more exotic than an ordinary ``repro`` command line.
-:meth:`JobSpec.parse` validates the argv against the real CLI parser —
-a spec that would die with a usage error at run time is rejected at
-submit time instead — and computes the job's *scope*: the run-manifest
-scope fingerprint (:func:`repro.obs.manifest.scope_fingerprint`) of
-the command plus its result-affecting configuration.
+:meth:`JobSpec.parse` validates the argv against the real CLI parser
+and resolves its model — a spec that would die with a usage error at
+run time is rejected at submit time instead — and computes the job's
+*scope*: the run-manifest scope fingerprint
+(:func:`repro.obs.manifest.scope_fingerprint`) of the command plus its
+configuration.
 
-The scope is the service's unit of work identity.  Because the CLI
-excludes byte-identical-by-construction knobs (``--workers``,
-``--engine``, checkpoint/fault/output plumbing) from the fingerprint,
-two submissions that differ only in those knobs share a scope — and
-therefore share one result-cache entry, which is sound precisely
-because the repository's determinism contract guarantees their report
-bytes match.
+The scope is the service's unit of work identity and its result-cache
+key.  It hashes every argument of the command except the flags the
+parser declares scope-free — those that cannot change stdout
+(``--workers``, ``--engine``, the fault-tolerance and manifest flags;
+see :func:`repro.cli._scope_free`) — so two submissions differing only
+in those share one cache entry, and any flag that shapes the output
+(``--json``) splits it.  ``--trace-out`` is scope-free yet writes a
+file and a trailing stdout line that a cache hit cannot reproduce, so
+a spec carrying it is rejected.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ class JobSpec:
 
         Raises :class:`~repro.errors.VerificationError` for an empty
         spec, a command outside :data:`ALLOWED_COMMANDS`, a ``corpus``
-        subcommand other than ``run``, or anything the CLI parser
-        itself rejects (the parser's own message is preserved).
+        subcommand other than ``run``, a ``--trace-out``, an unknown
+        ``--model`` or an instance size outside its range, or anything
+        the CLI parser itself rejects (the parser's own message is
+        preserved).
         """
         from repro import cli
         from repro.obs import manifest as mf
@@ -68,10 +73,11 @@ class JobSpec:
                 f"command {command!r} cannot be served as a job "
                 f"(allowed: {allowed})"
             )
+        parser = cli.build_parser()
         captured = io.StringIO()
         try:
             with contextlib.redirect_stderr(captured):
-                args = cli.build_parser().parse_args(list(argv))
+                args = parser.parse_args(list(argv))
         except SystemExit:
             detail = captured.getvalue().strip().splitlines()
             raise VerificationError(
@@ -84,5 +90,14 @@ class JobSpec:
                 f"{getattr(args, 'corpus_cmd', '?')}' mutates or lists "
                 "the registry locally)"
             )
-        scope = mf.scope_fingerprint(command, cli._manifest_config(args))
+        if args.trace_out:
+            raise VerificationError(
+                "--trace-out cannot be served as a job: a cache hit "
+                "writes no trace file (trace a direct run instead)"
+            )
+        if hasattr(args, "model"):
+            cli._resolve_model(args)
+        scope = mf.scope_fingerprint(
+            command, cli._manifest_config(parser, args)
+        )
         return cls(argv=argv, command=command, scope=scope)

@@ -42,13 +42,6 @@ KILL_EXIT = 77
 #: Default lease duration, seconds.
 DEFAULT_LEASE = 30.0
 
-#: The CLI's usage-error status.  A usage error is not a report: it
-#: turns on the argv and the CLI version, including knobs the scope
-#: excludes (``--engine``, ``--state-budget``), so it is recorded on
-#: the job but never cached for the rest of the scope.
-USAGE_EXIT = 2
-
-
 def run_job_argv(argv: Tuple[str, ...]) -> Tuple[int, str]:
     """Execute one job spec in-process; ``(exit_status, stdout)``.
 
@@ -223,7 +216,12 @@ def _finish_one(
             store.fail(claimed.job_id, worker_id, failure)
             summary["failed"] += 1
         else:
-            if code != USAGE_EXIT:
+            # Usage errors (2) and infrastructure failures (3) are not
+            # reports: they turn on the CLI version, the scope-free
+            # flags (``--engine`` blowing its ``--state-budget``, a
+            # pool's ``--retries``) and the machine, so they are
+            # recorded on the job but never answer the rest of its scope.
+            if code not in (2, 3):
                 cache.put(claimed.scope, {
                     "argv": list(claimed.argv),
                     "command": claimed.argv[0] if claimed.argv else "",

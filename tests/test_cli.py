@@ -144,6 +144,26 @@ class TestModelsFrontEnd:
         err = capsys.readouterr().err
         assert "unknown model" in err and "herman" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--n", "1"], "at least two processes, got 1"),
+        (["expected-time", "--model", "herman", "--n", "4"],
+         "odd number of processes >= 3, got 4"),
+        (["audit", "--n", "1"], "at least two processes, got 1"),
+        (["sweep", "--sizes", "3,1"], "at least two processes, got 1"),
+        (["sweep", "--sizes", "3,x"], "comma-separated integers"),
+    ])
+    def test_out_of_range_instance_size_is_a_usage_error(
+        self, capsys, argv, message
+    ):
+        # One "repro: error:" line and the usage status, not a
+        # traceback under the "claim refuted" status 1.
+        assert main([*argv, "--no-manifest"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_check_herman_end_to_end(self, capsys):
         assert main([
             "check", "--model", "herman", "--samples", "4",

@@ -10,6 +10,7 @@ undisturbed direct run.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -19,14 +20,17 @@ import time
 
 import pytest
 
-from repro import obs
+import repro
+from repro import cli, obs
 from repro.cli import main
+from repro.corpus import corpus_record, run_fuzz
 from repro.errors import (
     JobStoreCorruptionError,
     LeaseExpiredError,
     SupervisorCrashLoopError,
     VerificationError,
 )
+from repro.obs import manifest as mf
 from repro.parallel import fork_available
 from repro.parallel.faults import FaultPlan
 from repro.service import (
@@ -103,6 +107,135 @@ class TestJobSpec:
 
     def test_scope_tracks_result_affecting_knobs(self):
         assert _spec(*QUICK, "--seed", "9").scope != _spec().scope
+
+    def test_json_splits_the_scope(self):
+        assert _spec(*QUICK, "--json").scope != _spec().scope
+
+    @pytest.mark.parametrize("argv, message", [
+        (QUICK + ("--trace-out", "t.jsonl"), "--trace-out"),
+        (("check", "--model", "nope"), "unknown model"),
+        (("check", "--n", "1"), "at least two processes"),
+        (("expected-time", "--model", "herman", "--n", "4"), "odd number"),
+        (("sweep", "--sizes", "3,1"), "at least two processes"),
+    ])
+    def test_unservable_specs_are_rejected_at_submit(self, argv, message):
+        with pytest.raises(VerificationError, match=message):
+            JobSpec.parse(argv)
+
+    # Scopes of the served commands whose arguments this version left
+    # alone: a cache filled by an older version keeps answering them.
+    @pytest.mark.parametrize("argv, scope", [
+        (("verify", "--samples", "5"),
+         "8d5bbc046b097e9f21bc753a91158b4a2917aa3bd6a4661cd280b0b0bce7269d"),
+        (("chain", "--samples", "5"),
+         "2c1e8ed78a031ad0794dceac19308faecdde0cf9ae65891a8703eb76c9450a6e"),
+        (("expected-time", "--model", "herman", "--samples", "8"),
+         "96a797566c85442008b75d46755e45ec9d794864bb6594e6b281561ee5042283"),
+        (("stats", "--samples", "4"),
+         "a1a59e396b82f50ea3eda09fae3a80da55daa9efb2c672b805e9f2dc7fa992fd"),
+        (("sweep", "--samples", "4"),
+         "d9085332963a9884b3dc6f513483546f5c7f958908e02102ae1fc7a713832722"),
+    ])
+    def test_pinned_scopes(self, argv, scope):
+        assert JobSpec.parse(argv).scope == scope
+
+
+# ----------------------------------------------------------------------
+# Scope-free flags: declared at the parser, checked against the bytes
+# ----------------------------------------------------------------------
+
+#: A small command accepting the sampling flags, and a fuzz campaign
+#: with one finding for ``--emit`` to write.
+SMALL_CHECK = ("check", "--prop", "A.14", "--samples", "5")
+SMALL_FUZZ = ("fuzz", "--budget", "2", "--seed", "3", "--sabotage", "batched")
+
+#: One entry per flag declared scope-free on a manifest-writing
+#: subcommand (keyed by ``dest``): the base command and the flag
+#: variants whose stdout must equal the base run's.  ``{tmp}`` is the
+#: test's temporary directory.  ``trace_out`` has no variants: it adds
+#: a stdout line, so the job service rejects it instead.
+SCOPE_FREE_SAMPLES = {
+    "workers": (SMALL_CHECK, [("--workers", "2")]),
+    "engine": (SMALL_CHECK, [("--engine", "batched"), ("--engine", "auto")]),
+    "state_budget": (SMALL_CHECK, [
+        ("--engine", "auto", "--state-budget", "10"),
+    ]),
+    "timeout": (SMALL_CHECK, [("--timeout", "30")]),
+    "retries": (SMALL_CHECK, [("--retries", "0")]),
+    "checkpoint": (SMALL_CHECK, [("--checkpoint", "{tmp}/ck.jsonl")]),
+    "resume": (SMALL_CHECK, [
+        ("--checkpoint", "{tmp}/resume.jsonl"),
+        ("--checkpoint", "{tmp}/resume.jsonl", "--resume"),
+    ]),
+    "inject_faults": (SMALL_CHECK, [
+        ("--workers", "2", "--inject-faults", "crash=0.2,seed=3"),
+    ]),
+    "progress": (SMALL_CHECK, [("--progress",)]),
+    "manifest": (SMALL_CHECK, [("--no-manifest",)]),
+    "runs_dir": (SMALL_CHECK, [("--runs-dir", "{tmp}/elsewhere")]),
+    "emit": (SMALL_FUZZ, [("--emit", "{tmp}/findings.jsonl")]),
+    "trace_out": (SMALL_CHECK, []),
+}
+
+
+def _manifest_leaves(parser, skip=False):
+    """Every leaf subcommand parser whose runs append a manifest."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _manifest_leaves(
+                    child, skip or bool(child.get_default("skip_manifest"))
+                )
+            return
+    if not skip:
+        yield parser
+
+
+def _direct_scope(argv):
+    """The scope a direct run of ``argv`` records in its manifest."""
+    parser = cli.build_parser()
+    args = parser.parse_args(list(argv))
+    if getattr(args, "model", None):
+        cli._resolve_model(args)
+    return mf.scope_fingerprint(argv[0], cli._manifest_config(parser, args))
+
+
+class TestScopeFreeFlags:
+    def test_every_scope_free_flag_has_a_sample(self):
+        marked = {
+            action.dest
+            for leaf in _manifest_leaves(cli.build_parser())
+            for action in leaf._actions
+            if "scope_value" in vars(action) and action.scope_value is None
+        }
+        assert marked == set(SCOPE_FREE_SAMPLES)
+
+    @pytest.mark.parametrize("dest", sorted(
+        dest for dest, (_, variants) in SCOPE_FREE_SAMPLES.items()
+        if variants
+    ))
+    def test_flag_changes_neither_stdout_nor_scope(
+        self, dest, tmp_path, capsys
+    ):
+        base, variants = SCOPE_FREE_SAMPLES[dest]
+        code = main(list(base))
+        expected = capsys.readouterr().out
+        for variant in variants:
+            argv = base + tuple(
+                part.format(tmp=tmp_path) for part in variant
+            )
+            assert main(list(argv)) == code, argv
+            assert capsys.readouterr().out == expected, argv
+            assert _direct_scope(argv) == _direct_scope(base), argv
+
+    def test_trace_out_is_rejected_at_submit(self, tmp_path, capsys):
+        traced = SMALL_CHECK + ("--trace-out", str(tmp_path / "t.jsonl"))
+        assert _direct_scope(traced) == _direct_scope(SMALL_CHECK)
+        assert main(
+            ["submit", "--store", str(tmp_path / "svc"), "--", *traced]
+        ) == 2
+        assert "--trace-out" in capsys.readouterr().err
+        assert JobStore(str(tmp_path / "svc")).jobs() == {}
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +586,83 @@ class TestWorkerLoop:
         assert summary["executed"] == 1 and summary["cache_hits"] == 0
         assert cache.get(blown.scope)["exit_status"] == 0
 
+    def test_json_twin_of_a_cached_job_runs_and_caches_json(self, tmp_path):
+        store = JobStore(str(tmp_path / "svc"))
+        store.submit(_spec())
+        self._serve_inline(tmp_path)
+        json_argv = QUICK + ("--json",)
+        store.submit(_spec(*json_argv))
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1 and summary["cache_hits"] == 0
+        assert cache.get(_spec(*json_argv).scope)["stdout"] == \
+            run_job_argv(json_argv)[1]
+        assert cache.get(_spec().scope)["stdout"] == run_job_argv(QUICK)[1]
+
+    def test_traced_spec_never_reaches_the_cache(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "submit", "--store", str(tmp_path / "svc"), "--",
+            *QUICK, "--trace-out", str(trace),
+        ]) == 2
+        capsys.readouterr()
+        JobStore(str(tmp_path / "svc")).submit(_spec())
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1
+        served = cache.get(_spec().scope)["stdout"]
+        assert served == run_job_argv(QUICK)[1]
+        assert "trace records" not in served
+        assert not trace.exists()
+
+    @needs_fork
+    def test_infrastructure_failure_is_recorded_but_not_cached(
+        self, tmp_path
+    ):
+        # Fault injection is scope-free, so a pool that exhausts its
+        # retries (exit 3) shares the plain check's scope and must not
+        # answer it from the cache.
+        store = JobStore(str(tmp_path / "svc"))
+        crashed = _spec(
+            *QUICK, "--workers", "2", "--inject-faults", "crash=1.0,seed=1",
+            "--retries", "0",
+        )
+        assert crashed.scope == _spec().scope
+        view = store.submit(crashed)
+        _, cache, summary = self._serve_inline(tmp_path)
+        final = JobStore(str(tmp_path / "svc")).jobs()[view.job_id]
+        assert (final.state, final.exit_status) == ("completed", 3)
+        assert cache.get(crashed.scope) is None
+
+        store.submit(_spec())
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 1 and summary["cache_hits"] == 0
+        assert cache.get(crashed.scope)["exit_status"] == 0
+
+    def test_corpus_entry_added_between_submits_is_a_miss(
+        self, tmp_path, capsys
+    ):
+        corpus_file = tmp_path / "extra.jsonl"
+        spec = ("corpus", "run", "--corpus-file", str(corpus_file))
+        store = JobStore(str(tmp_path / "svc"))
+        replays = []
+
+        def replay(argv):
+            replays.append(argv)
+            return 0, f"replay {len(replays)}\n"
+
+        store.submit(JobSpec.parse(spec))
+        self._serve_inline(tmp_path, run=replay)
+        findings = tmp_path / "findings.jsonl"
+        finding = run_fuzz(seed=3, budget=2, sabotage="batched").findings[0]
+        findings.write_text(json.dumps(corpus_record(finding, seed=3)) + "\n")
+        assert main([
+            "corpus", "add", str(findings), "--corpus-file", str(corpus_file),
+        ]) == 0
+        capsys.readouterr()
+        store.submit(JobSpec.parse(spec))
+        _, _, summary = self._serve_inline(tmp_path, run=replay)
+        assert summary["executed"] == 1 and summary["cache_hits"] == 0
+        assert len(replays) == 2
+
     def test_failing_job_consumes_attempts(self, tmp_path):
         store = JobStore(str(tmp_path / "svc"))
         view = store.submit(_spec(), max_attempts=2)
@@ -732,6 +942,47 @@ class TestServedCampaigns:
         capsys.readouterr()
         assert code == 0
         _assert_campaign_bytes(store_root, direct)
+
+    def test_hung_pool_tasks_are_reaped_under_serve(self, tmp_path):
+        # A served job's pool children are forked from a worker whose
+        # SIGTERM handler only flags a graceful stop; a hung task must
+        # still die when the pool reaps it, or the job never finishes.
+        specs = (
+            ("check", "--prop", "A.14", "--samples", "5", "--workers", "2",
+             "--timeout", "2", "--inject-faults", "hang=0.3,seed=1"),
+            ("corpus", "run", "--entry", "pool-task-timeout",
+             "--corpus-file", str(tmp_path / "none.jsonl")),
+        )
+        direct = {argv: run_job_argv(argv) for argv in specs}
+        store_root = tmp_path / "svc"
+        store = JobStore(str(store_root))
+        for argv in specs:
+            store.submit(JobSpec.parse(argv))
+        store.close()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH"),
+        ]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store",
+             str(store_root), "--drain", "--poll", "0.05"],
+            env=env, cwd=str(tmp_path), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert proc.wait(timeout=90) == 0
+        except subprocess.TimeoutExpired:
+            pytest.fail("served jobs with hung pool tasks never finished")
+        finally:
+            if proc.poll() is None:
+                os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+                proc.wait()
+        cache = ResultCache(cache_dir(str(store_root)))
+        for argv, (code, stdout) in direct.items():
+            hit = cache.get(JobSpec.parse(argv).scope)
+            assert hit is not None, f"no cached result for {argv}"
+            assert (hit["exit_status"], hit["stdout"]) == (code, stdout)
 
     def test_crash_looping_workers_abort_with_exit_3(
         self, tmp_path, capsys
